@@ -1,8 +1,9 @@
 """Dynamical Lie algebras of 1- and 2-local Pauli interactions on graphs.
 
 The pieces, bottom up: symplectic Pauli strings (`pauli`), interaction graphs
-(`graphs`), the twelve symmetric generator catalogs (`catalog`), a worklist
-Lie-closure engine (`closure`), frustration-graph membership certificates
+(`graphs`), the twelve symmetric generator catalogs (`catalog`), a Lie-closure
+engine that walks the generator orbit p -> g*p breadth-first and checks a
+two-way certificate (`closure`), frustration-graph membership certificates
 (`frustration`), the structure classifier (`classify`), antiunitary involution
 fixed points (`involution`), and shared verification suites (`suites`).
 """

@@ -1,20 +1,28 @@
-"""Brute-force Lie closure over canonical Pauli strings.
+"""Lie closure of Pauli generators as a breadth-first orbit.
 
-The closure of a Pauli generator set under commutators is again spanned by
-Pauli strings, so the whole computation lives on phase-free packed keys
-(x_bits << n) | z_bits.  A worklist processes each basis element exactly once
-against the basis as it stood at pop time; every unordered pair is therefore
-evaluated by the time the later element pops, and a final sweep re-checks
-closedness outright.
+The closure of a Pauli generator set G under commutators is spanned by the
+right-normed brackets [g1, [g2, ... [g_{k-1}, g_k]]] with every g_i in G, and
+each such bracket is a single Pauli string up to phase.  So the closure basis
+is the orbit of G under p -> g*p, taken only for the generators g that
+anticommute with p: the frustration-graph picture.  The engine walks that
+orbit level by level, one generator at a time over the whole frontier, and
+records for every derived string the (parent, generator) pair that produced
+it.  That costs d * |G| anticommutation tests for a basis of size d.
 
-The pair sweep is vectorized with numpy (bitwise ops + popcount on the whole
-basis at once).  For n up to 13 a dense bytemap over all 4^n keys handles
-dedup; beyond that a plain set takes over.
+Everything lives on phase-free packed keys (x_bits << n) | z_bits, so a
+product is a XOR of keys.  For n up to 13 a dense bytemap over all 4^n keys
+handles dedup and membership; beyond that a plain set takes over.
+
+``verify=True`` checks a certificate in both directions: every parent pointer
+replays (the parent comes earlier, its generator anticommutes with it and
+their product is the element), so the basis lies in Lie(G); and g*b is in
+the basis for every generator g and basis element b that anticommute, so the
+span contains G and is invariant under every ad_g, hence contains Lie(G).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +33,8 @@ from dlagraph.pauli import PauliString
 DEFAULT_LIMIT = 4**10
 
 _BYTEMAP_MAX_KEYS = 1 << 26
+# packed keys (x_bits << n) | z_bits are stored as int64: 2n <= 62 bits
+_KEY_MAX_QUBITS = 31
 
 
 class ClosureLimitError(RuntimeError):
@@ -40,17 +50,28 @@ class ClosureLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClosureStats:
+    """Work counters: elements expanded, and generator-element pairs tested."""
+
     pops: int
     pair_evaluations: int
 
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Closure basis as canonical packed keys, in deterministic insertion order."""
+    """Closure basis as canonical packed keys, in breadth-first order.
+
+    The first ``dimension - len(parents)`` keys are the distinct generators.
+    Row k of ``parents`` is (parent index, generator index) for the key at
+    ``order[dimension - len(parents) + k]``: that key is the product of the
+    generator ``order[generator index]`` with the earlier key
+    ``order[parent index]``.  ``parents`` is None for a basis that is not an
+    orbit, such as a fixed-point subset.
+    """
 
     n: int
     order: tuple[int, ...]
     stats: ClosureStats
+    parents: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def keys(self) -> frozenset[int]:
@@ -74,6 +95,17 @@ class ClosureResult:
         return contains(self, p)
 
 
+def _anticommuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Elementwise (broadcasting) anticommutation of packed n-site keys.
+
+    With a = (x1, z1) and b = (x2, z2), the symplectic form x1.z2 + z1.x2 is
+    the popcount of a AND (b with its halves swapped).
+    """
+    mask = (1 << n) - 1
+    swapped = ((b & mask) << n) | (b >> n)
+    return (np.bitwise_count(a & swapped) & 1).astype(bool)
+
+
 def _member_list(generators) -> list[PauliString]:
     if isinstance(generators, GeneratorSet):
         return list(generators.members)
@@ -84,6 +116,8 @@ def _initial_keys(members: list[PauliString]) -> tuple[int, list[int]]:
     if not members:
         raise ValueError("need at least one generator")
     n = members[0].n
+    if n > _KEY_MAX_QUBITS:
+        raise ValueError(f"the closure engine handles at most {_KEY_MAX_QUBITS} qubits, got {n}")
     seen = set()
     order = []
     for p in members:
@@ -101,91 +135,107 @@ def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> 
     """Smallest commutator-closed set of canonical strings containing the generators.
 
     ``generators`` is a GeneratorSet or any iterable of PauliString.  Raises
-    ClosureLimitError when the basis grows past ``limit``.  The result only
-    depends on the generator set; the basis ordering only on its ordering.
+    ClosureLimitError when the basis grows past ``limit``, and AssertionError
+    when ``verify`` is set and the two-way certificate does not check.  The
+    result only depends on the generator set; the basis ordering only on its
+    ordering.
 
     >>> r = lie_closure([parse_pauli("XY"), parse_pauli("YX")])
     >>> r.dimension
     2
     """
+    if limit < 1:
+        raise ValueError(f"limit must be positive, got {limit}")
     n, initial = _initial_keys(_member_list(generators))
-    use_bytemap = (1 << (2 * n)) <= _BYTEMAP_MAX_KEYS
+    gens = np.asarray(initial, dtype=np.int64)
+    keys, parents = _orbit(gens, n, limit)
+    if verify:
+        _check_certificate(gens, keys, parents, n)
+    stats = ClosureStats(keys.size, keys.size * gens.size)
+    return ClosureResult(n, tuple(keys.tolist()), stats, parents)
 
-    capacity = 1024
-    xs = np.zeros(capacity, dtype=np.uint64)
-    zs = np.zeros(capacity, dtype=np.uint64)
-    size = 0
-    if use_bytemap:
-        seen_map = np.zeros(1 << (2 * n), dtype=bool)
-    else:
-        seen_set: set[int] = set()
 
-    def grow(needed: int):
-        nonlocal capacity, xs, zs
-        while capacity < needed:
-            capacity *= 2
-        if xs.shape[0] < capacity:
-            xs = np.resize(xs, capacity)
-            zs = np.resize(zs, capacity)
-
-    def append_keys(keys: np.ndarray):
-        nonlocal size
-        grow(size + keys.shape[0])
-        xs[size : size + keys.shape[0]] = keys >> n
-        zs[size : size + keys.shape[0]] = keys & ((1 << n) - 1)
-        size += keys.shape[0]
-
-    init = np.asarray(initial, dtype=np.int64)
-    if use_bytemap:
-        seen_map[init] = True
-    else:
-        seen_set.update(initial)
-    append_keys(init.astype(np.uint64))
-
-    pops = 0
-    pair_evals = 0
-    i = 0
-    while i < size:
-        x, z = xs[i], zs[i]
-        cx = xs[:size]
-        cz = zs[:size]
-        anti = (np.bitwise_count((x & cz) ^ (z & cx)) & np.uint64(1)).astype(bool)
-        pair_evals += size
-        pops += 1
-        if anti.any():
-            keys = (((cx[anti] ^ x).astype(np.int64)) << n) | (cz[anti] ^ z).astype(np.int64)
-            if use_bytemap:
-                fresh = keys[~seen_map[keys]]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    seen_map[fresh] = True
-                    append_keys(fresh.astype(np.uint64))
-            else:
-                fresh = sorted({int(k) for k in keys.tolist()} - seen_set)
-                if fresh:
-                    seen_set.update(fresh)
-                    append_keys(np.asarray(fresh, dtype=np.uint64))
+def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first orbit of the generator keys: (keys, parent pointers)."""
+    seen = _KeySet(gens, n)
+    key_chunks = [gens]
+    parent_chunks = []
+    frontier, start, size = gens, 0, gens.size
+    while frontier.size:
+        level = []
+        for j, g in enumerate(gens):
+            idx = np.flatnonzero(_anticommuting(frontier, g, n))
+            cand = frontier[idx] ^ g
+            new = ~seen.has(cand)
+            if not new.any():
+                continue
+            level.append(cand[new])
+            seen.add(level[-1])
+            rows = np.empty((level[-1].size, 2), dtype=np.int32)
+            rows[:, 0] = idx[new] + start
+            rows[:, 1] = j
+            parent_chunks.append(rows)
+            size += level[-1].size
             if size > limit:
                 raise ClosureLimitError(limit, size)
-        i += 1
+        start += frontier.size
+        frontier = np.concatenate(level) if level else gens[:0]
+        key_chunks.append(frontier)
+    keys = np.concatenate(key_chunks)
+    parents = np.concatenate(parent_chunks) if parent_chunks else np.zeros((0, 2), np.int32)
+    return keys, parents
 
-    order = tuple((xs[:size].astype(np.int64) << n | zs[:size].astype(np.int64)).tolist())
-    if verify:
-        _assert_closed(xs[:size], zs[:size], n, use_bytemap, seen_map if use_bytemap else seen_set)
-    return ClosureResult(n, order, ClosureStats(pops, pair_evals))
+
+def _check_certificate(gens: np.ndarray, keys: np.ndarray, parents: np.ndarray, n: int):
+    """Raise AssertionError unless span(keys) is exactly Lie(gens).
+
+    Checked against the input generators and the final key list only, never
+    against the engine's dedup state.
+    """
+    m, d = gens.size, keys.size
+    if not np.array_equal(keys[:m], gens) or parents.shape != (d - m, 2):
+        raise AssertionError("closure certificate does not start from the generators")
+    src, via = parents[:, 0].astype(np.int64), parents[:, 1].astype(np.int64)
+    if not ((src >= 0) & (src < np.arange(m, d)) & (via >= 0) & (via < m)).all():
+        raise AssertionError("closure certificate has a parent pointer out of range")
+    src_keys, via_keys = keys[src], gens[via]
+    if not (_anticommuting(src_keys, via_keys, n).all()
+            and np.array_equal(src_keys ^ via_keys, keys[m:])):
+        raise AssertionError("closure certificate has a parent pointer that does not replay")
+    if np.unique(keys).size != d:
+        raise AssertionError("closure certificate lists a string twice")
+    if not closed_under(keys, gens, n):
+        raise AssertionError("closure certificate is missing a bracket with a generator")
 
 
-def _assert_closed(xs, zs, n, use_bytemap, seen):
-    for i in range(xs.shape[0]):
-        x, z = xs[i], zs[i]
-        anti = (np.bitwise_count((x & zs) ^ (z & xs)) & np.uint64(1)).astype(bool)
-        keys = (((xs[anti] ^ x).astype(np.int64)) << n) | (zs[anti] ^ z).astype(np.int64)
-        if use_bytemap:
-            ok = bool(seen[keys].all()) if keys.size else True
+def closed_under(keys: np.ndarray, by: np.ndarray, n: int) -> bool:
+    """Whether b*k is again among ``keys`` for every anticommuting b in ``by``, k in ``keys``."""
+    member = _KeySet(keys, n)
+    return all(member.has(keys[_anticommuting(keys, b, n)] ^ b).all() for b in by)
+
+
+class _KeySet:
+    """Vectorized set of packed n-site keys: a bytemap over all 4^n keys up to
+    n = 13, a plain set beyond."""
+
+    def __init__(self, keys: np.ndarray, n: int):
+        self._map = None
+        if (1 << (2 * n)) <= _BYTEMAP_MAX_KEYS:
+            self._map = np.zeros(1 << (2 * n), dtype=bool)
+            self._map[keys] = True
         else:
-            ok = all(int(k) in seen for k in keys.tolist())
-        if not ok:
-            raise AssertionError("closure verification sweep found a missing bracket")
+            self._set = set(keys.tolist())
+
+    def has(self, cand: np.ndarray) -> np.ndarray:
+        if self._map is not None:
+            return self._map[cand]
+        return np.fromiter((k in self._set for k in cand.tolist()), bool, cand.size)
+
+    def add(self, keys: np.ndarray) -> None:
+        if self._map is not None:
+            self._map[keys] = True
+        else:
+            self._set.update(keys.tolist())
 
 
 def contains(result: ClosureResult, p: PauliString) -> bool:

@@ -1,8 +1,10 @@
-"""Dense-matrix reference implementations, used only by the test suite.
+"""Reference implementations, used only by the test suite.
 
-Everything here works on explicit 2^n x 2^n numpy arrays so it shares no code
-(and no bit tricks) with the library under test.  Capped at n <= 5 by design:
-the point is an independent cross-check, not performance.
+The dense-matrix helpers work on explicit 2^n x 2^n numpy arrays so they
+share no code (and no bit tricks) with the library under test.  Capped at
+n <= 5 by design: the point is an independent cross-check, not performance.
+The closure-certificate checks at the end use plain Python integers and the
+pairwise definition of closedness, not the engine's generator orbit.
 """
 
 import numpy as np
@@ -129,3 +131,36 @@ def in_span_dense(words, probe_word):
     probe = word_matrix(probe_word).reshape(-1)
     residual = probe - flat.T @ (flat.conj() @ probe)
     return bool(np.linalg.norm(residual) < 1e-8)
+
+
+def _anticommute(a, b, n):
+    return (((a >> n) & b) ^ (a & (b >> n))).bit_count() & 1 == 1
+
+
+def assert_bracket_closed(keys, n):
+    """Every anticommuting pair of packed keys has its product among the keys.
+
+    O(d^2) over all unordered pairs: the definition of a closed string set.
+    """
+    mask = (1 << n) - 1
+    rows = [(int(k), int(k) >> n, int(k) & mask) for k in keys]
+    present = {k for k, _, _ in rows}
+    assert len(present) == len(rows), "a key is listed twice"
+    for i, (a, xa, za) in enumerate(rows):
+        missing = [
+            b for b, xb, zb in rows[i + 1:]
+            if ((xa & zb) ^ (za & xb)).bit_count() & 1 and a ^ b not in present
+        ]
+        assert not missing, f"bracket of key {a} with key {missing[0]} is missing"
+
+
+def assert_orbit_replays(order, parents, generator_keys, n):
+    """Every key is a generator or a bracket of a generator with an earlier key."""
+    order = [int(k) for k in order]
+    m = len(order) - len(parents)
+    assert set(order[:m]) == {int(k) for k in generator_keys}, "basis does not start with the generators"
+    for k, (src, via) in enumerate(parents.tolist(), start=m):
+        parent, gen = order[src], order[via]
+        assert src < k and via < m, f"pointer of element {k} is not earlier"
+        assert _anticommute(parent, gen, n), f"element {k} is no bracket"
+        assert parent ^ gen == order[k], f"element {k} does not replay"

@@ -72,6 +72,15 @@ def test_close_limit_exit_4(capsys):
     assert "limit" in err
 
 
+@pytest.mark.parametrize("limit", ["-1", "0"])
+def test_close_nonpositive_limit_exit_2(capsys, limit):
+    code, _, err = run_cli(
+        capsys, "close", "--graph", "K:3", "--algebra", "a2", "--limit", limit
+    )
+    assert code == 2
+    assert "limit must be positive" in err
+
+
 def test_close_basis_listing(capsys):
     code, out, _ = run_cli(
         capsys, "close", "--graph", "K:2", "--algebra", "a14", "--basis"
@@ -207,6 +216,24 @@ def test_qubit_cap_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "close", "--graph", "K:5", "--algebra", "b3")
     assert code == 0
     assert "dim: 15" in out
+
+
+def test_close_above_key_width_exit_2(capsys, monkeypatch):
+    # packed int64 keys hold at most 31 qubits
+    monkeypatch.setenv("DLA_MAX_N", "40")
+    code, _, err = run_cli(capsys, "close", "--graph", "L:33", "--algebra", "a0")
+    assert code == 2
+    assert "at most 31 qubits" in err
+
+
+def test_wide_cap_leaves_other_commands_working(capsys, monkeypatch):
+    monkeypatch.setenv("DLA_MAX_N", "40")
+    code, out, _ = run_cli(capsys, "classify", "--graph", "K:3", "--algebra", "a2")
+    assert code == 0
+    assert "dim: 12" in out
+    code, out, _ = run_cli(capsys, "frustration", "build", "--graph", "L:33", "--algebra", "a0")
+    assert code == 0
+    assert "generators: 32 on 33 sites" in out
 
 
 def test_json_byte_determinism():

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from dlagraph.catalog import place_on_graph
+from dlagraph import closure
+from dlagraph.catalog import LABELS, place_on_graph
 from dlagraph.closure import (
     ClosureLimitError,
     closure_equal,
@@ -16,10 +18,11 @@ from dlagraph.graphs import (
     enumerate_connected_graphs,
     line_graph,
     omega_graph,
+    sigma_graph,
 )
 from dlagraph.pauli import parse_pauli
 
-from oracles import lie_closure_dim_dense
+from oracles import assert_bracket_closed, assert_orbit_replays, lie_closure_dim_dense
 
 
 # dimensions confirmed with the dense-matrix oracle before the engine existed
@@ -138,6 +141,13 @@ def test_identity_generator_rejected():
         lie_closure([parse_pauli("X"), parse_pauli("XX")])
 
 
+def test_key_width_bounds_site_count(monkeypatch):
+    monkeypatch.setenv("DLA_MAX_N", "32")
+    assert lie_closure([parse_pauli("X" * 31)]).dimension == 1
+    with pytest.raises(ValueError):
+        lie_closure([parse_pauli("X" * 32)])
+
+
 def test_contains_rejects_other_sizes():
     r = lie_closure([parse_pauli("XY"), parse_pauli("YX")])
     assert not contains(r, parse_pauli("XYI"))
@@ -146,9 +156,10 @@ def test_contains_rejects_other_sizes():
 
 
 def test_stats_counted():
-    r = lie_closure(place_on_graph("a2", omega_graph()))
+    gens = place_on_graph("a2", omega_graph())
+    r = lie_closure(gens)
     assert r.stats.pops == r.dimension
-    assert r.stats.pair_evaluations >= r.dimension * len(place_on_graph("a2", omega_graph()).members)
+    assert r.stats.pair_evaluations == r.dimension * len(gens.members)
 
 
 def test_dimension_bound_property():
@@ -159,3 +170,71 @@ def test_dimension_bound_property():
         for label in ("a2", "a22", "b1"):
             r = lie_closure(place_on_graph(label, g))
             assert r.dimension <= 4**g.n - 1
+
+
+# ------------------------------------------------ pairwise oracle agreement
+# A closed key set holding the generators spans at least Lie(G); one whose
+# every key replays to the generators spans at most Lie(G).  Both checks are
+# plain-integer code that shares nothing with the engine.
+
+def assert_matches_oracles(graph):
+    for label in LABELS:
+        gens = place_on_graph(label, graph)
+        r = lie_closure(gens)
+        assert_bracket_closed(r.order, graph.n)
+        assert_orbit_replays(r.order, r.parents, [p.key for p in gens.members], graph.n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_small_graph_matches_pairwise_oracle(n):
+    for graph in enumerate_connected_graphs(n):
+        assert_matches_oracles(graph)
+
+
+@pytest.mark.parametrize("index", [0, 56])  # the star K_{1,5}; a non-bipartite 8-edge graph
+def test_n6_sample_matches_pairwise_oracle(index):
+    assert_matches_oracles(enumerate_connected_graphs(6)[index])
+
+
+def test_set_dedup_matches_bytemap(monkeypatch):
+    gens = place_on_graph("a14", sigma_graph())
+    ref = lie_closure(gens)
+    monkeypatch.setattr(closure, "_BYTEMAP_MAX_KEYS", 0)
+    r = lie_closure(gens)
+    assert r.order == ref.order
+    assert np.array_equal(r.parents, ref.parents)
+
+
+# ------------------------------------------------ certificate rejection
+
+def wrong_generator(keys, parents):
+    parents[-1, 1] = (parents[-1, 1] + 1) % (keys.size - len(parents))
+    return keys, parents
+
+
+def missing_bracket(keys, parents):
+    return keys[:-1], parents[:-1]
+
+
+def closed_superset(keys, parents):
+    # ZZ = XY * YX commutes with both generators, so the set stays closed,
+    # but XY and YX commute: the pointer names no bracket
+    return np.append(keys, keys[0] ^ keys[1]), np.vstack([parents, [[0, 1]]]).astype(np.int32)
+
+
+@pytest.mark.parametrize("edit,words", [
+    (wrong_generator, None),
+    (missing_bracket, None),
+    (closed_superset, ["XY", "YX"]),
+])
+def test_verify_rejects_broken_certificate(monkeypatch, edit, words):
+    gens = [parse_pauli(w) for w in words] if words else place_on_graph("a2", omega_graph())
+    orbit = closure._orbit
+    monkeypatch.setattr(
+        closure, "_orbit", lambda g, n, limit: edit(*(a.copy() for a in orbit(g, n, limit)))
+    )
+    broken = lie_closure(gens, verify=False)
+    if edit is closed_superset:
+        assert_bracket_closed(broken.order, 2)  # a closedness sweep alone accepts it
+    with pytest.raises(AssertionError):
+        lie_closure(gens)

@@ -3,7 +3,7 @@ from functools import reduce
 import pytest
 
 from dlagraph.catalog import place_on_graph
-from dlagraph.closure import closure_equal, lie_closure
+from dlagraph.closure import ClosureResult, ClosureStats, closure_equal, lie_closure
 from dlagraph.graphs import complete_bipartite, complete_graph
 from dlagraph.involution import (
     Involution,
@@ -40,6 +40,17 @@ def test_fixed_subset_is_closed_and_counts():
     fixed = fixed_subset(theta, whole)
     assert fixed.dimension == 56
     assert fixed.keys <= whole.keys
+
+
+def test_fixed_subset_rejects_non_closed_basis():
+    # XX and ZI are fixed under Q = YX and anticommute; their product YX,
+    # also fixed, is left out of the hand-made basis
+    theta = make_theta(1, 1)
+    xx, zi = parse_pauli("XX"), parse_pauli("ZI")
+    assert is_fixed(theta, xx) and is_fixed(theta, zi) and is_fixed(theta, parse_pauli("YX"))
+    basis = ClosureResult(2, (xx.key, zi.key), ClosureStats(0, 0))
+    with pytest.raises(AssertionError):
+        fixed_subset(theta, basis)
 
 
 def test_upper_bound_formula_values():
