@@ -14,11 +14,10 @@ timestamps), so runs are byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-import time
-from dataclasses import dataclass
 
 from dlagraph.catalog import LABELS, place_alternative, place_on_graph
 from dlagraph.classify import SCOPE_OUT, classify
@@ -66,20 +65,14 @@ exit codes: 0 success, 1 verification failure, 2 bad input,
 """
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """What a subcommand did: inputs echoed back, result payload, timing."""
-
-    command: str
-    inputs: dict
-    result: dict
-    elapsed_ms: float
-
-
 def _load_graph(spec: str) -> InteractionGraph:
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read graph file {spec!r}: {exc.strerror or exc}") from exc
+        return parse_graph(text)
     return graph_from_spec(spec)
 
 
@@ -92,7 +85,7 @@ def _generators(args):
 
 # ------------------------------------------------------------ subcommands
 
-def _cmd_classify(args) -> tuple[RunReport, list[str], int]:
+def _cmd_classify(args) -> tuple[dict, list[str], int]:
     graph = _load_graph(args.graph)
     cls = classify(graph, args.algebra, oracle=args.oracle)
     connected = is_connected(graph)
@@ -121,15 +114,14 @@ def _cmd_classify(args) -> tuple[RunReport, list[str], int]:
     code = EXIT_OUT_OF_SCOPE if cls.scope == SCOPE_OUT else EXIT_OK
     if code == EXIT_OUT_OF_SCOPE:
         lines.append("out of scope for the structure tables; rerun with --oracle")
-    report = RunReport("classify", {"graph": args.graph, "algebra": args.algebra}, result, 0.0)
-    return report, lines, code
+    return result, lines, code
 
 
-def _cmd_close(args) -> tuple[RunReport, list[str], int]:
+def _cmd_close(args) -> tuple[dict, list[str], int]:
     gens = _generators(args)
     limit = args.limit if args.limit is not None else 4 ** 10
     res = lie_closure(gens, limit=limit)
-    basis = sorted(str(p) for p in res.strings())
+    basis = sorted(res.words())
     result = {"n": res.n, "dim": res.dimension, "basis": basis}
     lines = [
         f"n: {res.n}",
@@ -139,13 +131,10 @@ def _cmd_close(args) -> tuple[RunReport, list[str], int]:
     ]
     if args.basis:
         lines += [f"  {text}" for text in basis]
-    report = RunReport(
-        "close", {"graph": args.graph, "algebra": args.algebra, "alt": args.alt}, result, 0.0
-    )
-    return report, lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_frustration_build(args) -> tuple[RunReport, list[str], int]:
+def _cmd_frustration_build(args) -> tuple[dict, list[str], int]:
     gens = _generators(args)
     fg = build_frustration(gens)
     result = {
@@ -158,26 +147,14 @@ def _cmd_frustration_build(args) -> tuple[RunReport, list[str], int]:
     lines += [f"  g{i} {p}" for i, p in enumerate(fg.generators)]
     lines.append(f"anticommuting pairs: {len(fg.edges())}")
     lines += [f"  g{i} ~ g{j}" for i, j in fg.edges()]
-    report = RunReport(
-        "frustration build",
-        {"graph": args.graph, "algebra": args.algebra, "alt": args.alt},
-        result,
-        0.0,
-    )
-    return report, lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_frustration_member(args) -> tuple[RunReport, list[str], int]:
+def _cmd_frustration_member(args) -> tuple[dict, list[str], int]:
     gens = _generators(args)
     target = parse_pauli(args.target)
     fg = build_frustration(gens)
     trace = member_via_frustration(gens, target)
-    inputs = {
-        "graph": args.graph,
-        "algebra": args.algebra,
-        "alt": args.alt,
-        "target": args.target,
-    }
     if trace is None:
         result = {
             "target": target.canonical.letters(),
@@ -187,7 +164,7 @@ def _cmd_frustration_member(args) -> tuple[RunReport, list[str], int]:
             "coloring": None,
         }
         lines = [f"target {target.canonical.letters()}: not a member (no reachable coloring)"]
-        return RunReport("frustration member", inputs, result, 0.0), lines, EXIT_OK
+        return result, lines, EXIT_OK
     colored = [i for i in range(fg.size) if trace.coloring >> i & 1]
     result = {
         "target": target.canonical.letters(),
@@ -207,10 +184,10 @@ def _cmd_frustration_member(args) -> tuple[RunReport, list[str], int]:
         c = toggle(fg, c, i)
         lines.append(f"toggle g{i}: {action} {fg.generators[i]}")
     lines.append(f"product: {format_pauli(product_of(fg, c))}")
-    return RunReport("frustration member", inputs, result, 0.0), lines, EXIT_OK
+    return result, lines, EXIT_OK
 
 
-def _cmd_involution(args) -> tuple[RunReport, list[str], int]:
+def _cmd_involution(args) -> tuple[dict, list[str], int]:
     l, m, label = args.l, args.m, args.algebra
     block = lie_closure(place_on_graph(label, complete_bipartite(l, m)))
     whole = lie_closure(place_on_graph(label, complete_graph(l + m)))
@@ -237,11 +214,10 @@ def _cmd_involution(args) -> tuple[RunReport, list[str], int]:
         "formula_applicable": in_hypothesis,
         "match": ok,
     }
-    report = RunReport("involution", {"l": l, "m": m, "algebra": label}, result, 0.0)
-    return report, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return result, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_verify(args) -> tuple[RunReport, list[str], int]:
+def _cmd_verify(args) -> tuple[dict, list[str], int]:
     kwargs = {}
     if args.suite in ("theorem1", "appendixB") and args.max_n is not None:
         kwargs["max_n"] = args.max_n
@@ -267,8 +243,7 @@ def _cmd_verify(args) -> tuple[RunReport, list[str], int]:
             {"name": c.name, "passed": c.passed, "detail": c.detail} for c in cases
         ],
     }
-    report = RunReport("verify", {"suite": args.suite, **kwargs}, result, 0.0)
-    return report, lines, EXIT_OK if not failed else EXIT_VERIFY_FAILED
+    return result, lines, EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
 # ----------------------------------------------------------------- parser
@@ -340,24 +315,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call, not at import, and reused by every later call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
+    args = _shared_parser().parse_args(argv)
     try:
-        report, lines, code = args.func(args)
+        result, lines, code = args.func(args)
     except (ClosureLimitError, KernelTooLarge, SearchSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    report = RunReport(
-        report.command, report.inputs, report.result,
-        (time.perf_counter() - started) * 1000.0,
-    )
     if args.json:
-        print(json.dumps(report.result, sort_keys=True))
+        print(json.dumps(result, sort_keys=True))
     else:
         print("\n".join(lines))
     return code

@@ -33,6 +33,10 @@ from dlagraph.pauli import PauliString
 DEFAULT_LIMIT = 4**10
 
 _BYTEMAP_MAX_KEYS = 1 << 26
+# pairs tested per numpy pass in closed_under, so its temporaries stay small
+_BLOCK_PAIRS = 1 << 14
+# letter of one site, indexed by (x_bit << 1) | z_bit
+_LETTER_CODES = np.frombuffer(b"IZXY", dtype=np.uint8)
 # packed keys (x_bits << n) | z_bits are stored as int64: 2n <= 62 bits
 _KEY_MAX_QUBITS = 31
 
@@ -91,11 +95,21 @@ class ClosureResult:
             PauliString(self.n, k >> self.n, k & mask) for k in self.order
         )
 
+    def words(self) -> list[str]:
+        """The letters of each basis string, in ``order``; no PauliString is built."""
+        keys = np.asarray(self.order, dtype=np.int64)
+        # bit i of z_bits is bit i of the key itself, since z_bits is the low half
+        x, z = keys >> self.n, keys
+        letters = np.empty((keys.size, self.n), dtype=np.uint8)
+        for i in range(self.n):
+            letters[:, i] = _LETTER_CODES[((x >> i) & 1) << 1 | ((z >> i) & 1)]
+        return letters.view(f"S{self.n}").ravel().astype(f"U{self.n}").tolist()
+
     def __contains__(self, p: PauliString) -> bool:
         return contains(self, p)
 
 
-def _anticommuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+def anticommuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Elementwise (broadcasting) anticommutation of packed n-site keys.
 
     With a = (x1, z1) and b = (x2, z2), the symplectic form x1.z2 + z1.x2 is
@@ -164,7 +178,7 @@ def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray
     while frontier.size:
         level = []
         for j, g in enumerate(gens):
-            idx = np.flatnonzero(_anticommuting(frontier, g, n))
+            idx = np.flatnonzero(anticommuting(frontier, g, n))
             cand = frontier[idx] ^ g
             new = ~seen.has(cand)
             if not new.any():
@@ -199,19 +213,29 @@ def _check_certificate(gens: np.ndarray, keys: np.ndarray, parents: np.ndarray, 
     if not ((src >= 0) & (src < np.arange(m, d)) & (via >= 0) & (via < m)).all():
         raise AssertionError("closure certificate has a parent pointer out of range")
     src_keys, via_keys = keys[src], gens[via]
-    if not (_anticommuting(src_keys, via_keys, n).all()
+    if not (anticommuting(src_keys, via_keys, n).all()
             and np.array_equal(src_keys ^ via_keys, keys[m:])):
         raise AssertionError("closure certificate has a parent pointer that does not replay")
-    if np.unique(keys).size != d:
+    member = _KeySet(keys, n)
+    if len(member) != d:
         raise AssertionError("closure certificate lists a string twice")
-    if not closed_under(keys, gens, n):
+    if not _closed(member, keys, gens, n):
         raise AssertionError("closure certificate is missing a bracket with a generator")
 
 
 def closed_under(keys: np.ndarray, by: np.ndarray, n: int) -> bool:
     """Whether b*k is again among ``keys`` for every anticommuting b in ``by``, k in ``keys``."""
-    member = _KeySet(keys, n)
-    return all(member.has(keys[_anticommuting(keys, b, n)] ^ b).all() for b in by)
+    return _closed(_KeySet(keys, n), keys, by, n)
+
+
+def _closed(member: _KeySet, keys: np.ndarray, by: np.ndarray, n: int) -> bool:
+    # one pass per block of ``by``, at most about _BLOCK_PAIRS (b, k) pairs each
+    step = max(1, _BLOCK_PAIRS // max(keys.size, 1))
+    for i in range(0, by.size, step):
+        block = by[i:i + step, None]
+        if not member.has((keys ^ block)[anticommuting(keys, block, n)]).all():
+            return False
+    return True
 
 
 class _KeySet:
@@ -236,6 +260,11 @@ class _KeySet:
             self._map[keys] = True
         else:
             self._set.update(keys.tolist())
+
+    def __len__(self) -> int:
+        if self._map is not None:
+            return int(np.count_nonzero(self._map))
+        return len(self._set)
 
 
 def contains(result: ClosureResult, p: PauliString) -> bool:

@@ -287,6 +287,10 @@ def graph_from_spec(spec: str) -> InteractionGraph:
 
 # -------------------------------------------------- isomorphism enumeration
 
+# largest vertex count enumerate_connected_graphs handles
+ENUMERATE_MAX_N = 6
+
+
 def enumerate_connected_graphs(n: int, min_max_degree: int = 0) -> list[InteractionGraph]:
     """All connected graphs on n vertices up to isomorphism, one per class.
 
@@ -295,8 +299,8 @@ def enumerate_connected_graphs(n: int, min_max_degree: int = 0) -> list[Interact
     for all masks at once with one matrix product per permutation.  Practical
     through n=6 (32768 masks x 720 permutations).
     """
-    if not 1 <= n <= 6:
-        raise ValueError("enumeration supported for 1 <= n <= 6")
+    if not 1 <= n <= ENUMERATE_MAX_N:
+        raise ValueError(f"enumeration supported for 1 <= n <= {ENUMERATE_MAX_N}")
     if n == 1:
         g = build_graph(1, [])
         return [g] if min_max_degree <= 0 else []

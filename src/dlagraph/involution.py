@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dlagraph.classify import simple_dim
-from dlagraph.closure import ClosureResult, ClosureStats, closed_under
+from dlagraph.closure import ClosureResult, ClosureStats, anticommuting, closed_under
 from dlagraph.pauli import PauliString, commutes, pauli_from_sites, transpose_sign
 
 
@@ -60,11 +60,15 @@ def fixed_subset(theta: Involution, result: ClosureResult) -> ClosureResult:
     """The fixed points of a closure basis, checked to be bracket-closed."""
     if result.n != theta.n:
         raise ValueError(f"closure has {result.n} sites, involution acts on {theta.n}")
-    kept = tuple(p.key for p in result.strings() if is_fixed(theta, p))
-    keys = np.asarray(kept, dtype=np.int64)
+    # is_fixed on the packed keys (x_bits << n) | z_bits: the transpose sign
+    # is -1 for an odd popcount of x_bits & z_bits, that is of (key >> n) & key,
+    # and fixed means exactly one of the two signs is -1
+    keys = np.asarray(result.order, dtype=np.int64)
+    odd_y = (np.bitwise_count((keys >> theta.n) & keys) & 1).astype(bool)
+    keys = keys[odd_y ^ anticommuting(keys, theta.q.key, theta.n)]
     if not closed_under(keys, keys, result.n):
         raise AssertionError("fixed-point subset failed to close")
-    return ClosureResult(result.n, kept, ClosureStats(0, 0))
+    return ClosureResult(result.n, tuple(keys.tolist()), ClosureStats(0, 0))
 
 
 def upper_bound_dim(label: str, l: int, m: int) -> int:

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from dlagraph.catalog import LABELS, place_alternative, place_on_graph
 from dlagraph.classify import classify
-from dlagraph.closure import closure_equal, contains, lie_closure
+from dlagraph.closure import DEFAULT_LIMIT, closure_equal, contains, lie_closure
 from dlagraph.frustration import build_frustration, member_via_frustration, product_of
 from dlagraph.graphs import (
+    ENUMERATE_MAX_N,
     add_edges,
     complete_bipartite,
     complete_graph,
@@ -29,6 +30,7 @@ from dlagraph.pauli import (
     PauliString,
     commutator,
     commutes,
+    max_qubits,
     multiply,
     parse_pauli,
     quarter_congruence,
@@ -48,10 +50,24 @@ def all_passed(cases) -> bool:
     return all(c.passed for c in cases)
 
 
+# su(2^n), the largest closure on n sites, has 4^n - 1 strings; this is the
+# largest n for which that fits under the default closure limit
+_FULL_CLOSURE_MAX_N = ((DEFAULT_LIMIT + 1).bit_length() - 1) // 2
+
+
+def _check_size(suite: str, name: str, value: int, low: int, high: int) -> None:
+    """Reject, before any work, a size bound that selects no case or that the
+    suite cannot run up to (graph enumeration, qubit cap, closure limit)."""
+    high = min(high, max_qubits())
+    if not low <= value <= high:
+        raise ValueError(f"{suite} needs {low} <= {name} <= {high}, got {value}")
+
+
 # --------------------------------------------------------------- theorem1
 
 def suite_theorem1(max_n: int = 5) -> list[CheckCase]:
     """Structure table vs closure engine on every branched graph up to max_n."""
+    _check_size("theorem1", "max_n", max_n, 4, ENUMERATE_MAX_N)
     out = []
     for n in range(4, max_n + 1):
         for idx, g in enumerate(enumerate_connected_graphs(n, min_max_degree=3)):
@@ -70,6 +86,7 @@ def suite_theorem1(max_n: int = 5) -> list[CheckCase]:
 
 def suite_appendix_complete(max_n: int = 6) -> list[CheckCase]:
     """Known complete-graph closures vs the engine for n = 3..max_n."""
+    _check_size("appendixB", "max_n", max_n, 3, _FULL_CLOSURE_MAX_N)
     out = []
     for n in range(3, max_n + 1):
         g = complete_graph(n)
@@ -157,6 +174,7 @@ def suite_frustration() -> list[CheckCase]:
 
 def suite_involution(max_total: int = 6) -> list[CheckCase]:
     """Fixed points of the full-block closure vs the split-block closure."""
+    _check_size("involution", "max_total", max_total, 2, _FULL_CLOSURE_MAX_N)
     out = []
     for label in ("a4", "a14"):
         for n in range(2, max_total + 1):
@@ -211,6 +229,8 @@ def _random_string(rng, n, phased=True):
 
 def suite_pauli(cases: int = 10000, seed: int = 7) -> list[CheckCase]:
     """Symplectic engine vs the literal one-site multiplication table."""
+    if cases < 1:
+        raise ValueError(f"pauli needs at least one case, got {cases}")
     rng = random.Random(seed)
     bad = {"multiply": 0, "commutes": 0, "commutator": 0,
            "transpose": 0, "conjugate": 0, "congruence": 0}

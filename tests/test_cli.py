@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dlagraph import cli
+from dlagraph import cli, suites
 from dlagraph.suites import CheckCase
 
 
@@ -185,6 +185,40 @@ def test_bad_graph_spec_exit_2(capsys):
     assert "bad graph spec" in err
 
 
+def test_graph_path_not_readable_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "classify", "--graph", str(tmp_path), "--algebra", "a2")
+    assert code == 2
+    assert err.startswith("error: cannot read graph file")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--max-n", "9"],
+    ["verify", "theorem1", "--max-n", "0"],
+    ["verify", "appendixB", "--max-n", "2"],
+    ["verify", "appendixB", "--max-n", "11"],
+    ["verify", "involution", "--max-n", "0"],
+    ["verify", "pauli", "--cases", "0"],
+])
+def test_verify_bad_bounds_exit_2_before_work(capsys, monkeypatch, argv):
+    # bounds past what the suite can run, or selecting no case, are bad input
+    def no_work(*args, **kwargs):
+        raise AssertionError("the suite started work before checking its bounds")
+
+    monkeypatch.setattr(suites, "lie_closure", no_work)
+    monkeypatch.setattr(suites, "multiply", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_bound_follows_qubit_cap(capsys, monkeypatch):
+    monkeypatch.setenv("DLA_MAX_N", "4")
+    code, _, err = run_cli(capsys, "verify", "appendixB", "--max-n", "5")
+    assert code == 2
+    assert "3 <= max_n <= 4" in err
+
+
 def test_bad_algebra_exit_2():
     with pytest.raises(SystemExit) as wrapped:
         cli.main(["classify", "--graph", "K:3", "--algebra", "a99"])
@@ -259,3 +293,38 @@ def test_verify_json_byte_determinism():
     payload = json.loads(first.stdout)
     assert payload["failed"] == 0
     assert payload["total"] == 7
+
+
+# one process, one parser: every subcommand, with failing calls in the middle
+SESSION = [
+    ["classify", "--graph", "Sigma", "--algebra", "a2", "--json"],
+    ["close", "--graph", "Omega", "--algebra", "a14", "--json"],
+    ["classify", "--graph", "Q:9", "--algebra", "a2"],
+    ["close", "--graph", "K:3", "--algebra", "a99"],
+    ["close", "--graph", "Kb:2,3", "--algebra", "a4", "--basis"],
+    ["frustration", "build", "--graph", "Omega", "--algebra", "a14", "--alt", "--json"],
+    ["frustration", "member", "--graph", "Sigma", "--algebra", "a2", "--target", "XIIYI"],
+    ["involution", "--l", "2", "--m", "3", "--algebra", "a4", "--json"],
+    ["verify", "theorem1", "--max-n", "9"],
+    ["verify", "equivalence", "--json"],
+    ["classify", "--graph", "L:4", "--algebra", "a2"],
+]
+
+
+def test_one_parser_serves_a_session_like_fresh_processes(capsys):
+    cli._shared_parser.cache_clear()
+    in_process = []
+    for argv in SESSION:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert cli._shared_parser.cache_info().misses == 1
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 2, 0, 0, 0, 0, 2, 0, 3]
+    for argv, got in zip(SESSION, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dlagraph.cli", *argv], capture_output=True, text=True
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -7,6 +7,7 @@ from dlagraph import closure
 from dlagraph.catalog import LABELS, place_on_graph
 from dlagraph.closure import (
     ClosureLimitError,
+    closed_under,
     closure_equal,
     contains,
     lie_closure,
@@ -238,3 +239,45 @@ def test_verify_rejects_broken_certificate(monkeypatch, edit, words):
         assert_bracket_closed(broken.order, 2)  # a closedness sweep alone accepts it
     with pytest.raises(AssertionError):
         lie_closure(gens)
+
+
+def test_certificate_rejects_repeated_string(monkeypatch):
+    # a second pointer re-deriving the last string replays and keeps the set
+    # closed; only the distinctness count can reject it, on either dedup path
+    gens = np.asarray([p.key for p in place_on_graph("a2", omega_graph()).members])
+    keys, parents = closure._orbit(gens, 4, closure.DEFAULT_LIMIT)
+    repeated = np.append(keys, keys[-1]), np.vstack([parents, parents[-1:]])
+    for bytemap_max_keys in (closure._BYTEMAP_MAX_KEYS, 0):
+        monkeypatch.setattr(closure, "_BYTEMAP_MAX_KEYS", bytemap_max_keys)
+        closure._check_certificate(gens, keys, parents, 4)
+        with pytest.raises(AssertionError, match="twice"):
+            closure._check_certificate(gens, *repeated, 4)
+
+
+def test_closed_under_checks_every_block():
+    # so(16) on Sigma is closed; ZIIII brings a product outside it, and it
+    # sits past the first block of rows tested together
+    keys = np.asarray(lie_closure(place_on_graph("a2", sigma_graph())).order)
+    outsider = parse_pauli("ZIIII").key
+    assert not closed_under(keys, np.asarray([outsider]), 5)
+    inside = np.concatenate([keys, keys])
+    assert inside.size > closure._BLOCK_PAIRS // keys.size
+    assert closed_under(keys, inside, 5)
+    assert not closed_under(keys, np.append(inside, outsider), 5)
+
+
+# ------------------------------------------------ words from packed keys
+
+@pytest.mark.parametrize("graph", [sigma_graph(), omega_graph(), complete_graph(5)])
+def test_words_match_strings(graph):
+    for label in LABELS:
+        r = lie_closure(place_on_graph(label, graph))
+        assert r.words() == [p.letters() for p in r.strings()]
+        assert sorted(r.words()) == sorted(str(p) for p in r.strings())
+
+
+@pytest.mark.parametrize("label", ["a0", "a2"])
+def test_words_on_twenty_sites(monkeypatch, label):
+    monkeypatch.setenv("DLA_MAX_N", "20")
+    r = lie_closure(place_on_graph(label, line_graph(20)))
+    assert r.words() == [p.letters() for p in r.strings()]

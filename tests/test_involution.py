@@ -53,6 +53,17 @@ def test_fixed_subset_rejects_non_closed_basis():
         fixed_subset(theta, basis)
 
 
+@pytest.mark.parametrize("label", ["a4", "a14"])
+def test_fixed_subset_matches_is_fixed(label):
+    # the packed-key parity test keeps exactly the strings is_fixed keeps
+    for n in range(2, 7):
+        whole = lie_closure(place_on_graph(label, complete_graph(n)))
+        for l in range(1, n):
+            theta = make_theta(l, n - l)
+            want = tuple(p.key for p in whole.strings() if is_fixed(theta, p))
+            assert fixed_subset(theta, whole).order == want, (label, l, n - l)
+
+
 def test_upper_bound_formula_values():
     assert upper_bound_dim("a14", 1, 2) == 15  # su(4)
     assert upper_bound_dim("a14", 2, 2) == 56  # so(8) x 2
