@@ -83,7 +83,6 @@ class NormalForm:
 
 
 COMPLETE_REDUCIBLE = {7, 16, 20, 22}
-BIPARTITE_SENSITIVE = {2, 4, 6, 14}
 
 
 def _k_of(label: str) -> int:

@@ -224,16 +224,28 @@ def _check_certificate(gens: np.ndarray, keys: np.ndarray, parents: np.ndarray, 
 
 
 def closed_under(keys: np.ndarray, by: np.ndarray, n: int) -> bool:
-    """Whether b*k is again among ``keys`` for every anticommuting b in ``by``, k in ``keys``."""
+    """Whether b*k is again among ``keys`` for every anticommuting b in ``by``, k in ``keys``.
+
+    When ``by`` is ``keys`` itself (the closedness of a set), only the pairs
+    (keys[i], keys[j]) with j > i are tested: b*k and k*b are the same key
+    and a key commutes with itself.
+    """
     return _closed(_KeySet(keys, n), keys, by, n)
 
 
 def _closed(member: _KeySet, keys: np.ndarray, by: np.ndarray, n: int) -> bool:
     # one pass per block of ``by``, at most about _BLOCK_PAIRS (b, k) pairs each
+    unordered = by is keys
     step = max(1, _BLOCK_PAIRS // max(keys.size, 1))
     for i in range(0, by.size, step):
         block = by[i:i + step, None]
-        if not member.has((keys ^ block)[anticommuting(keys, block, n)]).all():
+        cols = keys[i + 1:] if unordered else keys
+        hit = anticommuting(cols, block, n)
+        if unordered:
+            # row i + r meets column i + 1 + c, a later key when c >= r
+            hit &= np.arange(cols.size) >= np.arange(block.shape[0])[:, None]
+        # a flat take is faster than a 2-D boolean index here
+        if not member.has((cols ^ block).ravel()[np.flatnonzero(hit)]).all():
             return False
     return True
 

@@ -3,11 +3,17 @@
 The dense-matrix helpers work on explicit 2^n x 2^n numpy arrays so they
 share no code (and no bit tricks) with the library under test.  Capped at
 n <= 5 by design: the point is an independent cross-check, not performance.
-The closure-certificate checks at the end use plain Python integers and the
-pairwise definition of closedness, not the engine's generator orbit.
+The closure-certificate checks use plain Python integers and the pairwise
+definition of closedness, not the engine's generator orbit.  The graph
+enumerator at the end canonicalizes every labeled graph, not just the
+augmentation candidates the library builds.
 """
 
+import itertools
+
 import numpy as np
+
+from dlagraph.graphs import build_graph, is_connected, max_degree
 
 MAT = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -98,41 +104,6 @@ def lie_closure_dim_dense(words, max_dim=None):
     return len(reps)
 
 
-def in_span_dense(words, probe_word):
-    """Whether the dense matrix of probe_word lies in the Lie closure span of words."""
-    n = len(words[0])
-    dim = 2**n
-    flat = np.zeros((0, dim * dim), dtype=complex)
-    reps = []
-
-    def admit(m):
-        nonlocal flat
-        v = m.reshape(-1)
-        for _ in range(2):
-            if flat.shape[0]:
-                coeffs = flat.conj() @ v
-                v = v - flat.T @ coeffs
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            return False
-        flat = np.vstack([flat, (v / norm)[None, :]])
-        reps.append((v / norm).reshape(dim, dim))
-        return True
-
-    for w in words:
-        admit(word_matrix(w))
-    i = 0
-    while i < len(reps):
-        j = 0
-        while j < len(reps):
-            admit(commutator_dense(reps[i], reps[j]))
-            j += 1
-        i += 1
-    probe = word_matrix(probe_word).reshape(-1)
-    residual = probe - flat.T @ (flat.conj() @ probe)
-    return bool(np.linalg.norm(residual) < 1e-8)
-
-
 def _anticommute(a, b, n):
     return (((a >> n) & b) ^ (a & (b >> n))).bit_count() & 1 == 1
 
@@ -164,3 +135,37 @@ def assert_orbit_replays(order, parents, generator_keys, n):
         assert src < k and via < m, f"pointer of element {k} is not earlier"
         assert _anticommute(parent, gen, n), f"element {k} is no bracket"
         assert parent ^ gen == order[k], f"element {k} does not replay"
+
+
+def enumerate_connected_graphs_brute(n, min_max_degree=0):
+    """Connected n-vertex graphs up to isomorphism, from all 2^(n(n-1)/2) masks.
+
+    The canonical form of every labeled graph is its minimum mask over all
+    vertex permutations, one matrix product per permutation; the masks equal
+    to their canonical form are the representatives.  Practical through n=6
+    (32768 masks x 720 permutations).
+    """
+    if n == 1:
+        g = build_graph(1, [])
+        return [g] if min_max_degree <= 0 else []
+    pairs = list(itertools.combinations(range(n), 2))
+    bit_of = {p: i for i, p in enumerate(pairs)}
+    nbits = len(pairs)
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(nbits)) & 1
+    canon = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        weights = np.zeros(nbits, dtype=np.int64)
+        for (u, v), b in bit_of.items():
+            pu, pv = perm[u], perm[v]
+            weights[b] = 1 << bit_of[(min(pu, pv), max(pu, pv))]
+        np.minimum(canon, bits @ weights, out=canon)
+    reps = np.nonzero(canon == masks)[0]
+    out = []
+    for mask in reps.tolist():
+        edges = [pairs[b] for b in range(nbits) if mask >> b & 1]
+        g = build_graph(n, edges)
+        if is_connected(g) and max_degree(g) >= min_max_degree:
+            out.append(g)
+    out.sort(key=lambda g: (g.edge_count, g.edges))
+    return out

@@ -12,12 +12,14 @@ import numpy as np
 
 import oracles
 from dlagraph.closure import lie_closure
-from dlagraph.catalog import place_on_graph
+from dlagraph.catalog import LABELS, place_on_graph
+from dlagraph.classify import classify
 from dlagraph.graphs import (
     bipartition,
     build_graph,
     complete_bipartite,
     complete_graph,
+    enumerate_connected_graphs,
     is_connected,
     max_degree,
 )
@@ -55,6 +57,23 @@ def test_criterion_1_structure_tables_branched_graphs():
     assert len(cases) == (4 + 19 + 110) * 12
     report(1, "branched-graph structure tables, n=4..6", all_passed(cases),
            _failures(cases) or f"{len(cases)} cells")
+
+
+def test_criterion_1_seven_vertex_sample():
+    # a fixed sample, every 85th of the 851 branched 7-vertex graphs, chosen
+    # before any result; `dlagraph verify theorem1 --max-n 7` runs all of them
+    sample = enumerate_connected_graphs(7, min_max_degree=3)[::85]
+    assert len(sample) == 11
+    bad = []
+    for idx, g in enumerate(sample):
+        for label in LABELS:
+            predicted = classify(g, label).total_dim
+            actual = lie_closure(place_on_graph(label, g)).dimension
+            if predicted != actual:
+                bad.append(f"graph#{85 * idx:03d} {label}: predicted {predicted}, "
+                           f"closure {actual}, edges {list(g.edges)}")
+    report(1, "branched-graph structure tables, n=7 sample", not bad,
+           "; ".join(bad) or f"{len(sample) * len(LABELS)} cells")
 
 
 def test_criterion_2_structure_tables_complete_graphs():

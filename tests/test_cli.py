@@ -192,6 +192,7 @@ def test_graph_path_not_readable_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--max-n", "8"],
     ["verify", "theorem1", "--max-n", "9"],
     ["verify", "theorem1", "--max-n", "0"],
     ["verify", "appendixB", "--max-n", "2"],
@@ -210,6 +211,19 @@ def test_verify_bad_bounds_exit_2_before_work(capsys, monkeypatch, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_verify_theorem1_bound_admits_seven(capsys, monkeypatch):
+    # --max-n 7 passes the bound check and asks for every size from 4 to 7;
+    # the enumeration is stubbed so that no case runs
+    sizes = []
+    monkeypatch.setattr(
+        suites, "enumerate_connected_graphs", lambda n, min_max_degree=0: sizes.append(n) or []
+    )
+    code, out, err = run_cli(capsys, "verify", "theorem1", "--max-n", "7")
+    assert (code, err) == (0, "")
+    assert sizes == [4, 5, 6, 7]
+    assert "suite theorem1: 0/0 passed" in out
 
 
 def test_verify_bound_follows_qubit_cap(capsys, monkeypatch):

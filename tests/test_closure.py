@@ -266,6 +266,24 @@ def test_closed_under_checks_every_block():
     assert not closed_under(keys, np.append(inside, outsider), 5)
 
 
+def test_closed_under_itself_checks_every_later_pair(monkeypatch):
+    # su(4) on sites 0-1 is closed; IIXX and IIZI commute with all of it but
+    # not with each other, and their product IIYX is missing.  With one row
+    # per block, that pair is met only in the block of row 15, past su(4).
+    words = ("XIII", "ZIII", "IXII", "IZII", "XXII")
+    su4 = np.asarray(lie_closure([parse_pauli(w) for w in words]).order)
+    assert su4.size == 15 and closed_under(su4, su4, 4)
+    xx, zi = parse_pauli("IIXX").key, parse_pauli("IIZI").key
+    monkeypatch.setattr(closure, "_BLOCK_PAIRS", 1)
+    for tail in ([xx, zi], [zi, xx]):
+        keys = np.append(su4, tail)
+        assert not closed_under(keys, keys, 4)
+        # an equal array that is not ``keys`` itself takes the ordered path
+        assert not closed_under(keys, keys.copy(), 4)
+    closed = np.append(su4, [xx, zi, parse_pauli("IIYX").key])
+    assert closed_under(closed, closed, 4)
+
+
 # ------------------------------------------------ words from packed keys
 
 @pytest.mark.parametrize("graph", [sigma_graph(), omega_graph(), complete_graph(5)])

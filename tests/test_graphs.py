@@ -1,6 +1,7 @@
 import pytest
 
 from dlagraph.graphs import (
+    ENUMERATE_MAX_N,
     Bipartition,
     add_edges,
     bipartition,
@@ -20,10 +21,10 @@ from dlagraph.graphs import (
     parse_graph,
     parse_graph_json,
     parse_graph_text,
-    recognize,
     sigma_graph,
     subgraph,
 )
+from oracles import enumerate_connected_graphs_brute
 
 
 def test_build_graph_normalizes():
@@ -72,27 +73,14 @@ def test_degrees():
     assert max_degree(cycle_graph(4)) == 2
 
 
-def test_recognize_families():
-    assert recognize(line_graph(4)).kind == "line"
-    assert recognize(line_graph(1)) .kind == "line"
-    assert recognize(cycle_graph(5)) == recognize(cycle_graph(5))
-    assert recognize(complete_graph(3)).kind == "cycle"  # K3 is also C3
-    assert recognize(complete_graph(5)).kind == "complete"
-    fam = recognize(complete_bipartite(2, 3))
-    assert fam.kind == "complete_bipartite" and fam.params == (2, 3)
-    assert recognize(sigma_graph()).kind == "other"
-    with pytest.raises(ValueError):
-        recognize(build_graph(4, [(0, 1)]))
-
-
 def test_named_graphs():
     assert omega_graph().edges == ((0, 1), (1, 2), (1, 3), (2, 3))
     assert complete_bipartite(2, 3).edge_count == 6
     assert is_complete(complete_graph(4))
     # Sigma plus two edges is K_{2,3} on the same labeling
     k23 = add_edges(sigma_graph(), [(0, 3), (3, 4)])
-    fam = recognize(k23)
-    assert fam.kind == "complete_bipartite" and set(fam.params) == {2, 3}
+    l, m = bipartition(k23).sizes
+    assert {l, m} == {2, 3} and k23.edge_count == l * m
 
 
 def test_parse_graph_text():
@@ -161,3 +149,24 @@ def test_enumerated_graphs_are_pairwise_nonisomorphic():
         for g in enumerate_connected_graphs(4)
     }
     assert len(sigs) == 6
+
+
+@pytest.mark.parametrize("min_max_degree", [0, 3])
+def test_augmentation_equals_brute_force(min_max_degree):
+    # whole lists: the same representatives in the same order
+    for n in range(1, 7):
+        assert enumerate_connected_graphs(n, min_max_degree) == \
+            enumerate_connected_graphs_brute(n, min_max_degree), n
+
+
+def test_enumerate_seven_vertices():
+    graphs = enumerate_connected_graphs(7)
+    assert ENUMERATE_MAX_N == 7
+    assert len(graphs) == 853
+    assert len(set(graphs)) == 853 and all(is_connected(g) for g in graphs)
+    assert sum(max_degree(g) >= 3 for g in graphs) == 851
+    assert enumerate_connected_graphs(7, min_max_degree=3) == [
+        g for g in graphs if max_degree(g) >= 3
+    ]
+    with pytest.raises(ValueError):
+        enumerate_connected_graphs(8)
