@@ -8,34 +8,22 @@ bipartite graph K_{l,m}.  A closed-form dimension count agrees whenever some
 block has at least 3 sites.
 """
 
-from dlagraph import (
-    closure_equal,
-    complete_bipartite,
-    complete_graph,
-    fixed_subset,
-    lie_closure,
-    make_theta,
-    place_on_graph,
-    upper_bound_dim,
-)
+from dlagraph import complete_graph, cross_check, lie_closure, place_on_graph
 
 print(f"{'(l,m)':>6} {'whole':>6} {'fixed':>6} {'block':>6} {'formula':>8}  verdict")
 for l, m in [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4)]:
-    theta = make_theta(l, m)
     whole = lie_closure(place_on_graph("a14", complete_graph(l + m)))
-    fixed = fixed_subset(theta, whole)
-    block = lie_closure(place_on_graph("a14", complete_bipartite(l, m)))
-    formula = upper_bound_dim("a14", l, m)
-    tight = closure_equal(fixed, block)
-    in_hypothesis = l + m >= 4 and max(l, m) >= 3
+    check = cross_check("a14", l, m, whole)
+    formula = check.formula_dim
     verdict = "fixed == block"
-    if in_hypothesis:
-        verdict += ", formula " + ("exact" if formula == fixed.dimension else "LOOSE")
+    if check.in_hypothesis:
+        verdict += ", formula " + ("exact" if check.passed else "LOOSE")
     else:
         verdict += f", formula {formula} informational"
-    assert tight
+    assert check.tight
     print(f"({l},{m})".rjust(6),
-          f"{whole.dimension:>6} {fixed.dimension:>6} {block.dimension:>6} {formula:>8}  {verdict}")
+          f"{whole.dimension:>6} {check.fixed.dimension:>6} {check.block.dimension:>6} "
+          f"{formula:>8}  {verdict}")
 
 print("\nreading the table: restricting the interaction graph from complete to")
 print("complete bipartite costs exactly the non-fixed directions, nothing more.")

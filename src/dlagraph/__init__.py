@@ -57,7 +57,9 @@ from dlagraph.graphs import (
     sigma_graph,
 )
 from dlagraph.involution import (
+    CrossCheck,
     Involution,
+    cross_check,
     fixed_subset,
     is_fixed,
     make_theta,
@@ -85,6 +87,7 @@ __all__ = [
     "Classification",
     "ClosureLimitError",
     "ClosureResult",
+    "CrossCheck",
     "FrustrationGraph",
     "GeneratorSet",
     "InteractionGraph",
@@ -105,6 +108,7 @@ __all__ = [
     "complete_bipartite",
     "complete_graph",
     "contains",
+    "cross_check",
     "cycle_graph",
     "enumerate_connected_graphs",
     "fixed_subset",

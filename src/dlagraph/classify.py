@@ -1,10 +1,11 @@
 """Structure prediction: which direct sum of simple algebras a placement closes to.
 
-For a connected graph with a vertex of degree > 2 the answer depends only on
-the label, the vertex count, and (for four of the labels) bipartiteness and
-the parities of the two color classes.  Complete graphs have their own scope
-tag since the complete-graph results stand on their own.  Lines and cycles
-are deliberately out of scope: the classifier refuses to guess and the caller
+A connected graph first reduces to its normal form (``normal_form``): K_n for
+a complete graph with n >= 3 and, under a7/a16/a20/a22, for every connected
+graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex has degree
+> 2.  One table keyed by label, n and the bipartition parities
+(``theorem_summands``) then gives the summands.  Lines and cycles are out of
+scope only for a2/a4/a6/a14: the classifier refuses to guess and the caller
 can fall back to the closure engine for a dimension.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from dlagraph.catalog import check_label, is_a_type, place_on_graph
+from dlagraph.catalog import check_label, place_on_graph
 from dlagraph.closure import lie_closure
 from dlagraph.graphs import (
     InteractionGraph,
@@ -92,24 +93,30 @@ def _k_of(label: str) -> int:
 def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     """Equivalence-class normal form of a connected graph for an a-type label.
 
-    Labels a7/a16/a20/a22 reduce any connected graph with n >= 3 to the
-    complete graph.  Labels a2/a4/a6/a14 need a vertex of degree > 2 and then
-    reduce to K_n (non-bipartite) or K_{l,m} (bipartite).
+    Complete graphs come first: K_n with n >= 3 is its own normal form.
+    Labels a7/a16/a20/a22 reduce any connected graph with n >= 3 to K_n.
+    Labels a2/a4/a6/a14 need a vertex of degree > 2 and then reduce to K_n
+    (non-bipartite) or K_{l,m} (bipartite); their lines and cycles stay
+    ``line_or_cycle``.
     """
+    bip = bipartition(g)
+    return _reduce(g, label, bip.sizes if bip else None)
+
+
+def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
+    # normal_form given the bipartition sizes, which classify needs anyway
     check_label(label)
     if label in ("a0", "b0", "b1", "b3"):
         raise ValueError(f"no reduction theory for {label}")
-    k = _k_of(label)
     if g.n < 3:
         return NormalForm("too_small", (g.n,))
-    if k in COMPLETE_REDUCIBLE:
+    if is_complete(g) or _k_of(label) in COMPLETE_REDUCIBLE:
         return NormalForm("complete", (g.n,))
     if max_degree(g) <= 2:
         return NormalForm("line_or_cycle", (g.n,))
-    bip = bipartition(g)
-    if bip is None:
+    if bip_sizes is None:
         return NormalForm("complete", (g.n,))
-    return NormalForm("complete_bipartite", bip.sizes)
+    return NormalForm("complete_bipartite", bip_sizes)
 
 
 def _su(n_exp: int, mult: int = 1) -> Summand:
@@ -140,9 +147,10 @@ def _bipartite_a2(n: int, l: int, m: int) -> tuple[Summand, ...]:
 
 
 def theorem_summands(label: str, n: int, bip_sizes) -> tuple[Summand, ...]:
-    """Predicted summands for a connected graph with a degree->2 vertex.
+    """Predicted summands for a connected graph whose normal form is K_n or K_{l,m}.
 
-    ``bip_sizes`` is (l, m) for bipartite graphs and None otherwise.
+    ``bip_sizes`` is (l, m) for bipartite graphs and None otherwise; only
+    a2/a4/a6/a14 read it.
     """
     k = _k_of(label)
     if k == 2:
@@ -177,24 +185,6 @@ def theorem_summands(label: str, n: int, bip_sizes) -> tuple[Summand, ...]:
     raise ValueError(f"no structure table row for {label}")
 
 
-def complete_graph_summands(label: str, n: int) -> tuple[Summand, ...]:
-    """Known closures on the complete graph K_n, n >= 3."""
-    if n < 3:
-        raise ValueError("complete-graph table starts at n=3")
-    k = _k_of(label)
-    if k == 2:
-        return (_so(n - 1, 2),)
-    if k in (4, 7):
-        return _parity_split_su(n)
-    if k in (6, 14, 20):
-        return (_su(n - 1, 2),)
-    if k == 16:
-        return (_so(n),)
-    if k == 22:
-        return (_su(n),)
-    raise ValueError(f"no complete-graph row for {label}")
-
-
 def _merge(summands) -> tuple[Summand, ...]:
     counts: dict[tuple[str, int], int] = {}
     for s in summands:
@@ -227,10 +217,9 @@ def _classify_connected(g: InteractionGraph, label: str, oracle: bool) -> Classi
     if e == 0:
         # an isolated vertex carries no 2-local interaction at all
         return _finish([], SCOPE_THEOREM, bip_sizes)
-    if is_complete(g) and n >= 3:
-        return _finish(complete_graph_summands(label, n), SCOPE_COMPLETE, bip_sizes)
-    if max_degree(g) >= 3:
-        return _finish(theorem_summands(label, n, bip_sizes), SCOPE_THEOREM, bip_sizes)
+    if _reduce(g, label, bip_sizes).kind in ("complete", "complete_bipartite"):
+        scope = SCOPE_COMPLETE if is_complete(g) else SCOPE_THEOREM
+        return _finish(theorem_summands(label, n, bip_sizes), scope, bip_sizes)
     if oracle:
         dim = lie_closure(place_on_graph(label, g)).dimension
         return Classification((), dim, SCOPE_ORACLE, bip_sizes)
@@ -241,16 +230,16 @@ def classify(g: InteractionGraph, label: str, oracle: bool = False) -> Classific
     """Predict the closure structure of the labeled placement on g.
 
     Disconnected graphs classify per component and merge (scope DirectSum).
-    Lines, cycles and 2-vertex graphs yield OutOfScope unless ``oracle`` is
-    set, in which case the closure engine supplies the dimension with the
-    family left unidentified.
+    Components whose normal form is ``line_or_cycle`` or ``too_small`` yield
+    OutOfScope unless ``oracle`` is set, in which case the closure engine
+    supplies the dimension with the family left unidentified.
     """
     check_label(label)
     comps = connected_components(g)
-    whole_bip = bipartition(g)
-    whole_sizes = whole_bip.sizes if whole_bip else None
     if len(comps) == 1:
         return _classify_connected(g, label, oracle)
+    whole_bip = bipartition(g)
+    whole_sizes = whole_bip.sizes if whole_bip else None
     parts = [_classify_connected(subgraph(g, comp), label, oracle) for comp in comps]
     if any(p.scope == SCOPE_OUT for p in parts):
         return Classification((), 0, SCOPE_OUT, whole_sizes)

@@ -32,13 +32,12 @@ from dlagraph.frustration import (
 )
 from dlagraph.graphs import (
     InteractionGraph,
-    complete_bipartite,
     complete_graph,
     graph_from_spec,
     is_connected,
     parse_graph,
 )
-from dlagraph.involution import fixed_subset, make_theta, upper_bound_dim
+from dlagraph.involution import cross_check
 from dlagraph.pauli import format_pauli, parse_pauli
 from dlagraph.suites import SUITES
 
@@ -189,32 +188,26 @@ def _cmd_frustration_member(args) -> tuple[dict, list[str], int]:
 
 def _cmd_involution(args) -> tuple[dict, list[str], int]:
     l, m, label = args.l, args.m, args.algebra
-    block = lie_closure(place_on_graph(label, complete_bipartite(l, m)))
-    whole = lie_closure(place_on_graph(label, complete_graph(l + m)))
-    fixed = fixed_subset(make_theta(l, m), whole)
-    bound = upper_bound_dim(label, l, m)
-    tight = fixed.keys == block.keys
-    in_hypothesis = l + m >= 4 and max(l, m) >= 3
-    ok = tight and (bound == fixed.dimension or not in_hypothesis)
-    note = "" if in_hypothesis else " (outside table hypothesis, informational)"
+    check = cross_check(label, l, m, lie_closure(place_on_graph(label, complete_graph(l + m))))
+    note = "" if check.in_hypothesis else " (outside table hypothesis, informational)"
     lines = [
         f"algebra {label}, blocks l={l} m={m} (n={l + m})",
-        f"closure dim on K_{{{l},{m}}}: {block.dimension}",
-        f"fixed-point dim inside K_{l + m} closure: {fixed.dimension}",
-        f"closed-form dim: {bound}{note}",
-        "PASS" if ok else "FAIL",
+        f"closure dim on K_{{{l},{m}}}: {check.block.dimension}",
+        f"fixed-point dim inside K_{l + m} closure: {check.fixed.dimension}",
+        f"closed-form dim: {check.formula_dim}{note}",
+        "PASS" if check.passed else "FAIL",
     ]
     result = {
         "algebra": label,
         "l": l,
         "m": m,
-        "block_dim": block.dimension,
-        "fixed_dim": fixed.dimension,
-        "formula_dim": bound,
-        "formula_applicable": in_hypothesis,
-        "match": ok,
+        "block_dim": check.block.dimension,
+        "fixed_dim": check.fixed.dimension,
+        "formula_dim": check.formula_dim,
+        "formula_applicable": check.in_hypothesis,
+        "match": check.passed,
     }
-    return result, lines, EXIT_OK if ok else EXIT_VERIFY_FAILED
+    return result, lines, EXIT_OK if check.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify(args) -> tuple[dict, list[str], int]:

@@ -215,10 +215,14 @@ def parse_graph_json(text: str) -> InteractionGraph:
         raise ValueError(f"bad graph JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON needs keys 'n' and 'edges'")
-    edges = [tuple(e) for e in obj["edges"]]
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("each edge must be a pair [u, v]")
-    return build_graph(int(obj["n"]), edges)
+    n, edges = obj["n"], obj["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("graph JSON 'edges' must be a list of pairs [u, v]")
+    # bool is a subclass of int, and a float such as 3.7 must not pass as 3
+    bad = [x for x in (n, *(v for e in edges for v in e)) if type(x) is not int]
+    if bad:
+        raise ValueError(f"graph JSON 'n' and edge endpoints must be integers, got {bad[0]!r}")
+    return build_graph(n, [tuple(e) for e in edges])
 
 
 def parse_graph(text: str) -> InteractionGraph:

@@ -5,7 +5,8 @@ Q = Y...Y X...X (l Ys then m Xs).  A Pauli string is fixed exactly when its
 transpose sign and its commutation sign with Q multiply to -1, so the fixed
 subset of a string basis is computable without matrices.  Fixed points of a
 closed basis are again closed; ``fixed_subset`` asserts that instead of
-assuming it.
+assuming it.  ``cross_check`` compares the fixed points with the closure on
+K_{l,m} and with the structure table's K_{l,m} row.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dlagraph.classify import simple_dim
-from dlagraph.closure import ClosureResult, ClosureStats, anticommuting, closed_under
+from dlagraph.catalog import place_on_graph
+from dlagraph.classify import normal_form, theorem_summands
+from dlagraph.closure import ClosureResult, ClosureStats, anticommuting, closed_under, lie_closure
+from dlagraph.graphs import complete_bipartite
 from dlagraph.pauli import PauliString, commutes, pauli_from_sites, transpose_sign
 
 
@@ -74,25 +77,38 @@ def fixed_subset(theta: Involution, result: ClosureResult) -> ClosureResult:
 def upper_bound_dim(label: str, l: int, m: int) -> int:
     """Fixed-subalgebra dimension formula for a4 or a14 at block sizes (l, m).
 
-    Valid as a statement about complete bipartite graphs once K_{l,m} has a
-    vertex of degree > 2 (max(l, m) >= 3); smaller shapes are out of
-    hypothesis and the number is only a conjecture to compare against.
+    This is the structure table's K_{l,m} row.  Valid as a statement about
+    complete bipartite graphs once K_{l,m} has a vertex of degree > 2
+    (max(l, m) >= 3); smaller shapes are out of hypothesis and the number is
+    only a conjecture to compare against.
     """
     if l < 1 or m < 1:
         raise ValueError("block sizes must be positive")
-    n = l + m
-    both_odd = l % 2 == 1 and m % 2 == 1
-    both_even = l % 2 == 0 and m % 2 == 0
-    if label == "a14":
-        if both_odd:
-            return 2 * simple_dim("sp", 1 << (n - 2))
-        if both_even:
-            return 2 * simple_dim("so", 1 << (n - 1))
-        return simple_dim("su", 1 << (n - 1))
-    if label == "a4":
-        if both_odd:
-            return 2 * simple_dim("su", 1 << (n - 2))
-        if both_even:
-            return 4 * simple_dim("so", 1 << (n - 2))
-        return simple_dim("so", 1 << (n - 1))
-    raise ValueError(f"fixed-point bounds are recorded for a4 and a14, not {label!r}")
+    if label not in ("a4", "a14"):
+        raise ValueError(f"fixed-point bounds are recorded for a4 and a14, not {label!r}")
+    return sum(s.dim for s in theorem_summands(label, l + m, (l, m)))
+
+
+@dataclass(frozen=True)
+class CrossCheck:
+    """The (l, m) cross-check: fixed points of the K_{l+m} closure against the
+    K_{l,m} closure and against the structure table's K_{l,m} row."""
+
+    block: ClosureResult
+    fixed: ClosureResult
+    tight: bool  # the fixed keys are exactly the block keys
+    formula_dim: int
+    in_hypothesis: bool  # the table covers K_{l,m}, so the closed form must match
+    passed: bool
+
+
+def cross_check(label: str, l: int, m: int, whole: ClosureResult) -> CrossCheck:
+    """Cross-check ``whole``, the closure of ``label`` on K_{l+m}, at blocks (l, m)."""
+    shape = complete_bipartite(l, m)
+    block = lie_closure(place_on_graph(label, shape))
+    fixed = fixed_subset(make_theta(l, m), whole)
+    formula = upper_bound_dim(label, l, m)
+    in_hypothesis = normal_form(shape, label).kind == "complete_bipartite"
+    tight = fixed.keys == block.keys
+    passed = tight and (formula == fixed.dimension or not in_hypothesis)
+    return CrossCheck(block, fixed, tight, formula, in_hypothesis, passed)

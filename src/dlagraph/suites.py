@@ -18,14 +18,13 @@ from dlagraph.frustration import build_frustration, member_via_frustration, prod
 from dlagraph.graphs import (
     ENUMERATE_MAX_N,
     add_edges,
-    complete_bipartite,
     complete_graph,
     enumerate_connected_graphs,
     line_graph,
     omega_graph,
     sigma_graph,
 )
-from dlagraph.involution import fixed_subset, make_theta, upper_bound_dim
+from dlagraph.involution import cross_check
 from dlagraph.pauli import (
     PauliString,
     commutator,
@@ -65,21 +64,22 @@ def _check_size(suite: str, name: str, value: int, low: int, high: int) -> None:
 
 # --------------------------------------------------------------- theorem1
 
+def _table_vs_engine(name: str, g, label: str, detail: str = "") -> CheckCase:
+    """One cell: the structure table's dimension against the closure engine's."""
+    predicted = classify(g, label).total_dim
+    actual = lie_closure(place_on_graph(label, g)).dimension
+    return CheckCase(name, predicted == actual, f"predicted {predicted}, closure {actual}{detail}")
+
+
 def suite_theorem1(max_n: int = 5) -> list[CheckCase]:
     """Structure table vs closure engine on every branched graph up to max_n."""
     _check_size("theorem1", "max_n", max_n, 4, ENUMERATE_MAX_N)
-    out = []
-    for n in range(4, max_n + 1):
-        for idx, g in enumerate(enumerate_connected_graphs(n, min_max_degree=3)):
-            for label in LABELS:
-                predicted = classify(g, label).total_dim
-                actual = lie_closure(place_on_graph(label, g)).dimension
-                out.append(CheckCase(
-                    f"n={n} graph#{idx:03d} {label}",
-                    predicted == actual,
-                    f"predicted {predicted}, closure {actual}, edges {list(g.edges)}",
-                ))
-    return out
+    return [
+        _table_vs_engine(f"n={n} graph#{idx:03d} {label}", g, label, f", edges {list(g.edges)}")
+        for n in range(4, max_n + 1)
+        for idx, g in enumerate(enumerate_connected_graphs(n, min_max_degree=3))
+        for label in LABELS
+    ]
 
 
 # ------------------------------------------------------- complete graphs
@@ -87,18 +87,11 @@ def suite_theorem1(max_n: int = 5) -> list[CheckCase]:
 def suite_appendix_complete(max_n: int = 6) -> list[CheckCase]:
     """Known complete-graph closures vs the engine for n = 3..max_n."""
     _check_size("appendixB", "max_n", max_n, 3, _FULL_CLOSURE_MAX_N)
-    out = []
-    for n in range(3, max_n + 1):
-        g = complete_graph(n)
-        for label in LABELS:
-            predicted = classify(g, label).total_dim
-            actual = lie_closure(place_on_graph(label, g)).dimension
-            out.append(CheckCase(
-                f"K{n} {label}",
-                predicted == actual,
-                f"predicted {predicted}, closure {actual}",
-            ))
-    return out
+    return [
+        _table_vs_engine(f"K{n} {label}", complete_graph(n), label)
+        for n in range(3, max_n + 1)
+        for label in LABELS
+    ]
 
 
 # ----------------------------------------------------------- equivalence
@@ -180,21 +173,13 @@ def suite_involution(max_total: int = 6) -> list[CheckCase]:
         for n in range(2, max_total + 1):
             whole = lie_closure(place_on_graph(label, complete_graph(n)))
             for l in range(1, n):
-                m = n - l
-                theta = make_theta(l, m)
-                fixed = fixed_subset(theta, whole)
-                part = lie_closure(place_on_graph(label, complete_bipartite(l, m)))
-                tight = closure_equal(fixed, part)
-                formula = upper_bound_dim(label, l, m)
-                in_hypothesis = n >= 4 and max(l, m) >= 3
-                formula_ok = formula == fixed.dimension
-                passed = tight and (formula_ok or not in_hypothesis)
-                tag = "" if in_hypothesis else " [out of hypothesis, recorded]"
+                check = cross_check(label, l, n - l, whole)
+                tag = "" if check.in_hypothesis else " [out of hypothesis, recorded]"
                 out.append(CheckCase(
-                    f"{label} ({l},{m})",
-                    passed,
-                    f"K_{{l,m}} dim {part.dimension}, fixed {fixed.dimension}, "
-                    f"formula {formula}{tag}",
+                    f"{label} ({l},{n - l})",
+                    check.passed,
+                    f"K_{{l,m}} dim {check.block.dimension}, fixed {check.fixed.dimension}, "
+                    f"formula {check.formula_dim}{tag}",
                 ))
     return out
 

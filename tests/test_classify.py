@@ -11,7 +11,6 @@ from dlagraph.classify import (
     SCOPE_THEOREM,
     Summand,
     classify,
-    complete_graph_summands,
     normal_form,
     predicted_dim,
     simple_dim,
@@ -57,6 +56,9 @@ def test_normal_form_branches():
     assert normal_form(line_graph(4), "a2") == NormalForm("line_or_cycle", (4,))
     assert normal_form(cycle_graph(6), "a14") == NormalForm("line_or_cycle", (6,))
     assert normal_form(line_graph(2), "a22") == NormalForm("too_small", (2,))
+    # K_3 is a cycle too, but complete graphs come first
+    for label in ("a2", "a4", "a6", "a14"):
+        assert normal_form(complete_graph(3), label) == NormalForm("complete", (3,))
     with pytest.raises(ValueError):
         normal_form(sigma_graph(), "b0")
 
@@ -188,6 +190,15 @@ def test_full_theorem_table_against_engine_n4():
 
 def test_complete_summands_need_n3():
     with pytest.raises(ValueError):
-        complete_graph_summands("a2", 2)
-    with pytest.raises(ValueError):
         theorem_summands("a0", 4, None)
+
+
+@pytest.mark.parametrize("label", ["a7", "a16", "a20", "a22"])
+def test_lines_and_cycles_reduce_to_complete_table(label):
+    # these labels see only n: every line and cycle closes like K_n
+    for n in range(3, 9):
+        for g in (line_graph(n), cycle_graph(n)):
+            c = classify(g, label)
+            want = SCOPE_COMPLETE if g == complete_graph(3) else SCOPE_THEOREM
+            assert c.scope == want, (label, g)
+            assert c.total_dim == lie_closure(place_on_graph(label, g)).dimension, (label, g)

@@ -247,6 +247,32 @@ def test_graph_file_text(tmp_path, capsys):
     assert "dim: 120" in out
 
 
+def test_classify_line_a16_is_so32(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--graph", "L:5", "--algebra", "a16", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["scope"] == "Theorem1"
+    assert payload["summands"] == [{"family": "so", "size": 32, "multiplicity": 1}]
+    assert payload["dim"] == 496
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": [3], "edges": []}',
+    '{"n": 3, "edges": 5}',
+    '{"n": 3, "edges": [[0, "a"]]}',
+    '{"n": 3, "edges": [[0, 1.5]]}',
+    '{"n": 3, "edges": [[0, 1], null]}',
+    '{"n": 3.7, "edges": [[0, 1]]}',
+])
+def test_malformed_graph_json_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "classify", "--graph", str(path), "--algebra", "a2")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_graph_file_json(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 4, "edges": [[0, 1], [1, 2], [1, 3], [2, 3]]}))

@@ -7,6 +7,7 @@ from dlagraph.closure import ClosureResult, ClosureStats, closure_equal, lie_clo
 from dlagraph.graphs import complete_bipartite, complete_graph
 from dlagraph.involution import (
     Involution,
+    cross_check,
     fixed_subset,
     is_fixed,
     make_theta,
@@ -103,6 +104,28 @@ def test_formula_matches_when_hypothesis_holds():
         for (l, m) in [(1, 3), (3, 1), (2, 3), (1, 4), (3, 3), (2, 4), (1, 5)]:
             part = lie_closure(place_on_graph(label, complete_bipartite(l, m)))
             assert part.dimension == upper_bound_dim(label, l, m), (label, l, m)
+
+
+@pytest.mark.parametrize("label", ["a4", "a14"])
+def test_cross_check_hypothesis_is_table_scope(label):
+    # the closed form binds where the table covers K_{l,m}: max(l, m) >= 3
+    for n in range(2, 6):
+        whole = lie_closure(place_on_graph(label, complete_graph(n)))
+        for l in range(1, n):
+            check = cross_check(label, l, n - l, whole)
+            assert check.in_hypothesis == (n >= 4 and max(l, n - l) >= 3), (l, n - l)
+            assert check.tight and check.passed, (l, n - l)
+            assert check.formula_dim == upper_bound_dim(label, l, n - l)
+
+
+@pytest.mark.parametrize("lm", [(1, 2), (1, 3)])
+def test_cross_check_fails_on_a_foreign_closure(lm):
+    # the a14 closure on K_{l+m} has fixed points that the a4 block closure
+    # lacks; out of hypothesis the check still fails on tightness alone
+    l, m = lm
+    whole = lie_closure(place_on_graph("a14", complete_graph(l + m)))
+    check = cross_check("a4", l, m, whole)
+    assert not check.tight and not check.passed
 
 
 # --------------------------------------------- quarter-congruence sequences
