@@ -3,8 +3,8 @@
 A connected graph first reduces to its normal form (``normal_form``): K_n for
 a complete graph with n >= 3 and, under a7/a16/a20/a22, for every connected
 graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex has degree
-> 2.  One table keyed by label, n and the bipartition parities
-(``theorem_summands``) then gives the summands.  Lines and cycles are out of
+> 2.  One table keyed by label and normal-form shape (``_TABLE``, read by
+``theorem_summands``) then gives the summands.  Lines and cycles are out of
 scope only for a2/a4/a6/a14: the classifier refuses to guess and the caller
 can fall back to the closure engine for a dimension.
 """
@@ -20,6 +20,7 @@ from dlagraph.graphs import (
     bipartition,
     connected_components,
     is_complete,
+    is_connected,
     max_degree,
     subgraph,
 )
@@ -30,7 +31,20 @@ SCOPE_DIRECT_SUM = "DirectSum"
 SCOPE_ORACLE = "OracleFallback"
 SCOPE_OUT = "OutOfScope"
 
-FAMILIES = ("u1", "su", "so", "sp")
+# Theorem 1's table.  Each entry is (family, n - log2 size, multiplicity) for
+# one normal-form shape: K_n with n odd, K_n with n even, then K_{l,m} with
+# both blocks odd, both even, or of mixed parity.  A row with only the two
+# K_n columns reduces every connected graph on n >= 3 vertices to K_n.
+_TABLE = {
+    "a2": (("so", 1, 2), ("so", 1, 2), ("su", 2, 2), ("so", 2, 4), ("so", 1, 1)),
+    "a4": (("su", 1, 1), ("su", 2, 4), ("su", 2, 2), ("so", 2, 4), ("so", 1, 1)),
+    "a6": (("su", 1, 2), ("su", 1, 2), ("su", 2, 4), ("su", 2, 4), ("su", 1, 1)),
+    "a7": (("su", 1, 1), ("su", 2, 4)),
+    "a14": (("su", 1, 2), ("su", 1, 2), ("sp", 2, 2), ("so", 1, 2), ("su", 1, 1)),
+    "a16": (("so", 0, 1), ("so", 0, 1)),
+    "a20": (("su", 1, 2), ("su", 1, 2)),
+    "a22": (("su", 0, 1), ("su", 0, 1)),
+}
 
 
 def simple_dim(family: str, size: int) -> int:
@@ -83,13 +97,6 @@ class NormalForm:
     params: tuple[int, ...] = ()
 
 
-COMPLETE_REDUCIBLE = {7, 16, 20, 22}
-
-
-def _k_of(label: str) -> int:
-    return int(label[1:])
-
-
 def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     """Equivalence-class normal form of a connected graph for an a-type label.
 
@@ -97,8 +104,11 @@ def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     Labels a7/a16/a20/a22 reduce any connected graph with n >= 3 to K_n.
     Labels a2/a4/a6/a14 need a vertex of degree > 2 and then reduce to K_n
     (non-bipartite) or K_{l,m} (bipartite); their lines and cycles stay
-    ``line_or_cycle``.
+    ``line_or_cycle``.  A disconnected graph raises ValueError: it has no
+    single normal form, and ``classify`` reduces it per component.
     """
+    if not is_connected(g):
+        raise ValueError("normal_form needs a connected graph")
     bip = bipartition(g)
     return _reduce(g, label, bip.sizes if bip else None)
 
@@ -106,11 +116,12 @@ def normal_form(g: InteractionGraph, label: str) -> NormalForm:
 def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
     # normal_form given the bipartition sizes, which classify needs anyway
     check_label(label)
-    if label in ("a0", "b0", "b1", "b3"):
+    row = _TABLE.get(label)
+    if row is None:
         raise ValueError(f"no reduction theory for {label}")
     if g.n < 3:
         return NormalForm("too_small", (g.n,))
-    if is_complete(g) or _k_of(label) in COMPLETE_REDUCIBLE:
+    if is_complete(g) or len(row) == 2:
         return NormalForm("complete", (g.n,))
     if max_degree(g) <= 2:
         return NormalForm("line_or_cycle", (g.n,))
@@ -119,70 +130,22 @@ def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
     return NormalForm("complete_bipartite", bip_sizes)
 
 
-def _su(n_exp: int, mult: int = 1) -> Summand:
-    return Summand("su", 1 << n_exp, mult)
-
-
-def _so(n_exp: int, mult: int = 1) -> Summand:
-    return Summand("so", 1 << n_exp, mult)
-
-
-def _sp(n_exp: int, mult: int = 1) -> Summand:
-    return Summand("sp", 1 << n_exp, mult)
-
-
-def _parity_split_su(n: int) -> tuple[Summand, ...]:
-    # shared by a4 (non-bipartite) and a7: one su block for odd n, four for even
-    if n % 2:
-        return (_su(n - 1),)
-    return (_su(n - 2, 4),)
-
-
-def _bipartite_a2(n: int, l: int, m: int) -> tuple[Summand, ...]:
-    if l % 2 == 1 and m % 2 == 1:
-        return (_su(n - 2, 2),)
-    if l % 2 == 0 and m % 2 == 0:
-        return (_so(n - 2, 4),)
-    return (_so(n - 1),)
-
-
 def theorem_summands(label: str, n: int, bip_sizes) -> tuple[Summand, ...]:
     """Predicted summands for a connected graph whose normal form is K_n or K_{l,m}.
 
     ``bip_sizes`` is (l, m) for bipartite graphs and None otherwise; only
-    a2/a4/a6/a14 read it.
+    rows with K_{l,m} columns read it.
     """
-    k = _k_of(label)
-    if k == 2:
-        if bip_sizes:
-            return _bipartite_a2(n, *bip_sizes)
-        return (_so(n - 1, 2),)
-    if k == 4:
-        if bip_sizes:
-            return _bipartite_a2(n, *bip_sizes)
-        return _parity_split_su(n)
-    if k == 6:
-        if bip_sizes:
-            return _parity_split_su(n)
-        return (_su(n - 1, 2),)
-    if k == 7:
-        return _parity_split_su(n)
-    if k == 14:
-        if bip_sizes:
-            l, m = bip_sizes
-            if l % 2 == 1 and m % 2 == 1:
-                return (_sp(n - 2, 2),)
-            if l % 2 == 0 and m % 2 == 0:
-                return (_so(n - 1, 2),)
-            return (_su(n - 1),)
-        return (_su(n - 1, 2),)
-    if k == 16:
-        return (_so(n),)
-    if k == 20:
-        return (_su(n - 1, 2),)
-    if k == 22:
-        return (_su(n),)
-    raise ValueError(f"no structure table row for {label}")
+    row = _TABLE.get(label)
+    if row is None:
+        raise ValueError(f"no structure table row for {label}")
+    if bip_sizes is None or len(row) == 2:
+        column = int(n % 2 == 0)
+    else:
+        l, m = bip_sizes
+        column = 4 if (l + m) % 2 else 2 + (l % 2 == 0)
+    family, drop, multiplicity = row[column]
+    return (Summand(family, 1 << (n - drop), multiplicity),)
 
 
 def _merge(summands) -> tuple[Summand, ...]:

@@ -21,7 +21,7 @@ import sys
 
 from dlagraph.catalog import LABELS, place_alternative, place_on_graph
 from dlagraph.classify import SCOPE_OUT, classify
-from dlagraph.closure import ClosureLimitError, lie_closure
+from dlagraph.closure import DEFAULT_LIMIT, ClosureLimitError, lie_closure
 from dlagraph.frustration import (
     KernelTooLarge,
     SearchSpaceTooLarge,
@@ -118,8 +118,7 @@ def _cmd_classify(args) -> tuple[dict, list[str], int]:
 
 def _cmd_close(args) -> tuple[dict, list[str], int]:
     gens = _generators(args)
-    limit = args.limit if args.limit is not None else 4 ** 10
-    res = lie_closure(gens, limit=limit)
+    res = lie_closure(gens, limit=args.limit)
     basis = sorted(res.words())
     result = {"n": res.n, "dim": res.dimension, "basis": basis}
     lines = [
@@ -210,17 +209,26 @@ def _cmd_involution(args) -> tuple[dict, list[str], int]:
     return result, lines, EXIT_OK if check.passed else EXIT_VERIFY_FAILED
 
 
+# the flags each suite reads, named as its keyword parameters
+_SUITE_FLAGS = {
+    "theorem1": ("max_n",),
+    "appendixB": ("max_n",),
+    "equivalence": (),
+    "frustration": (),
+    "involution": ("max_n",),
+    "pauli": ("cases", "seed"),
+}
+
+
 def _cmd_verify(args) -> tuple[dict, list[str], int]:
-    kwargs = {}
-    if args.suite in ("theorem1", "appendixB") and args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.suite == "involution" and args.max_n is not None:
-        kwargs["max_total"] = args.max_n
-    if args.suite == "pauli":
-        if args.cases is not None:
-            kwargs["cases"] = args.cases
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
+    kwargs = {
+        flag: getattr(args, flag)
+        for flag in ("max_n", "cases", "seed")
+        if getattr(args, flag) is not None
+    }
+    for flag in kwargs:
+        if flag not in _SUITE_FLAGS[args.suite]:
+            raise ValueError(f"verify {args.suite} takes no --{flag.replace('_', '-')}")
     cases = SUITES[args.suite](**kwargs)
     failed = [c for c in cases if not c.passed]
     lines = [
@@ -274,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("close", parents=[common],
                        help="compute the bracket closure explicitly")
     _add_graph_algebra(p)
-    p.add_argument("--limit", type=int, default=None, help="basis size cap (default 4^10)")
+    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
+                   help="basis size cap (default 4^10)")
     p.add_argument("--basis", action="store_true", help="also print the basis strings")
     p.set_defaults(func=_cmd_close)
 

@@ -85,10 +85,6 @@ class ClosureResult:
     def dimension(self) -> int:
         return len(self.order)
 
-    @cached_property
-    def basis(self) -> frozenset[PauliString]:
-        return frozenset(self.strings())
-
     def strings(self) -> tuple[PauliString, ...]:
         mask = (1 << self.n) - 1
         return tuple(

@@ -106,6 +106,11 @@ def _check_coloring(fg: FrustrationGraph, coloring: int):
         raise ValueError(f"coloring {coloring:#x} out of range for {fg.size} generators")
 
 
+def _check_target(fg: FrustrationGraph, target: PauliString):
+    if target.n != fg.n:
+        raise ValueError(f"target has {target.n} sites, generators {fg.n}")
+
+
 def is_legal_toggle(fg: FrustrationGraph, coloring: int, i: int) -> bool:
     if not 0 <= i < fg.size:
         raise ValueError(f"no generator {i}")
@@ -127,8 +132,7 @@ def colorings_for_target(fg: FrustrationGraph, target: PauliString) -> list[int]
     kernel of the generator matrix) and enumerates; raises KernelTooLarge
     rather than enumerating more than 2^20 solutions.
     """
-    if target.n != fg.n:
-        raise ValueError(f"target has {target.n} sites, generators {fg.n}")
+    _check_target(fg, target)
     n = fg.n
     vectors = [(p.x_bits << n) | p.z_bits for p in fg.generators]
     goal = (target.x_bits << n) | target.z_bits
@@ -238,6 +242,7 @@ def member_via_frustration(generators, target: PauliString,
     when no coloring of the target is reachable from any singleton.
     """
     fg = build_frustration(generators)
+    _check_target(fg, target)
     if target.is_identity:
         return None
     best = None

@@ -76,11 +76,6 @@ class PauliString:
     def is_identity(self) -> bool:
         return self.x_bits == 0 and self.z_bits == 0
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return (self.x_bits | self.z_bits).bit_count()
-
     def letter(self, site: int) -> str:
         if not 0 <= site < self.n:
             raise IndexError(f"site {site} out of range for n={self.n}")

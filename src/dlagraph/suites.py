@@ -165,12 +165,12 @@ def suite_frustration() -> list[CheckCase]:
 
 # ------------------------------------------------------------ involution
 
-def suite_involution(max_total: int = 6) -> list[CheckCase]:
+def suite_involution(max_n: int = 6) -> list[CheckCase]:
     """Fixed points of the full-block closure vs the split-block closure."""
-    _check_size("involution", "max_total", max_total, 2, _FULL_CLOSURE_MAX_N)
+    _check_size("involution", "max_n", max_n, 2, _FULL_CLOSURE_MAX_N)
     out = []
     for label in ("a4", "a14"):
-        for n in range(2, max_total + 1):
+        for n in range(2, max_n + 1):
             whole = lie_closure(place_on_graph(label, complete_graph(n)))
             for l in range(1, n):
                 check = cross_check(label, l, n - l, whole)

@@ -61,6 +61,13 @@ def test_normal_form_branches():
         assert normal_form(complete_graph(3), label) == NormalForm("complete", (3,))
     with pytest.raises(ValueError):
         normal_form(sigma_graph(), "b0")
+    # a disconnected graph has no single normal form
+    two_triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(ValueError):
+        normal_form(two_triangles, "a7")
+    star_and_edge = build_graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)])
+    with pytest.raises(ValueError):
+        normal_form(star_and_edge, "a2")
 
 
 # ----------------------------------------------------------- the main table
@@ -186,6 +193,43 @@ def test_full_theorem_table_against_engine_n4():
             assert c.scope in (SCOPE_THEOREM, SCOPE_COMPLETE)
             engine = lie_closure(place_on_graph(label, g)).dimension
             assert c.total_dim == engine, (label, g)
+
+
+# one cell per label and table column: K_n at n = 5 and 6, and K_{l,m} at
+# (3, 3), (2, 4) and (2, 3).  The engine checks compare only total dimensions,
+# so these pin the family and the multiplicity of each entry.
+@pytest.mark.parametrize("label, n, bip_sizes, want", [
+    ("a2", 5, None, "so(16)^2"),
+    ("a2", 6, None, "so(32)^2"),
+    ("a2", 6, (3, 3), "su(16)^2"),
+    ("a2", 6, (2, 4), "so(16)^4"),
+    ("a2", 5, (2, 3), "so(16)"),
+    ("a4", 5, None, "su(16)"),
+    ("a4", 6, None, "su(16)^4"),
+    ("a4", 6, (3, 3), "su(16)^2"),
+    ("a4", 6, (2, 4), "so(16)^4"),
+    ("a4", 5, (2, 3), "so(16)"),
+    ("a6", 5, None, "su(16)^2"),
+    ("a6", 6, None, "su(32)^2"),
+    ("a6", 6, (3, 3), "su(16)^4"),
+    ("a6", 6, (2, 4), "su(16)^4"),
+    ("a6", 5, (2, 3), "su(16)"),
+    ("a7", 5, None, "su(16)"),
+    ("a7", 6, None, "su(16)^4"),
+    ("a14", 5, None, "su(16)^2"),
+    ("a14", 6, None, "su(32)^2"),
+    ("a14", 6, (3, 3), "sp(16)^2"),
+    ("a14", 6, (2, 4), "so(32)^2"),
+    ("a14", 5, (2, 3), "su(16)"),
+    ("a16", 5, None, "so(32)"),
+    ("a16", 6, None, "so(64)"),
+    ("a20", 5, None, "su(16)^2"),
+    ("a20", 6, None, "su(32)^2"),
+    ("a22", 5, None, "su(32)"),
+    ("a22", 6, None, "su(64)"),
+])
+def test_theorem_summands_table_cells(label, n, bip_sizes, want):
+    assert [str(s) for s in theorem_summands(label, n, bip_sizes)] == [want]
 
 
 def test_complete_summands_need_n3():

@@ -111,6 +111,24 @@ def test_frustration_member_negative(capsys):
     assert "not a member" in out
 
 
+def test_frustration_member_identity_target_width(capsys):
+    # the identity is never a member, but only a target as wide as the graph
+    # is a well-formed question
+    code, out, err = run_cli(
+        capsys, "frustration", "member",
+        "--graph", "Sigma", "--algebra", "a2", "--target", "II",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    code, out, _ = run_cli(
+        capsys, "frustration", "member",
+        "--graph", "Sigma", "--algebra", "a2", "--target", "IIIII",
+    )
+    assert code == 0
+    assert "not a member" in out
+
+
 def test_frustration_member_kernel_cap_exit_4(capsys):
     code, _, err = run_cli(
         capsys, "frustration", "member",
@@ -199,6 +217,9 @@ def test_graph_path_not_readable_exit_2(tmp_path, capsys):
     ["verify", "appendixB", "--max-n", "11"],
     ["verify", "involution", "--max-n", "0"],
     ["verify", "pauli", "--cases", "0"],
+    ["verify", "equivalence", "--max-n", "3"],
+    ["verify", "pauli", "--max-n", "3", "--cases", "5"],
+    ["verify", "theorem1", "--cases", "3", "--max-n", "4"],
 ])
 def test_verify_bad_bounds_exit_2_before_work(capsys, monkeypatch, argv):
     # bounds past what the suite can run, or selecting no case, are bad input
