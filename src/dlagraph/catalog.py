@@ -39,9 +39,9 @@ CATALOG: dict[str, TemplateSet] = {
 
 # generator sets with the same closure, useful because their frustration
 # graphs look different
-ALTERNATIVES: dict[str, tuple[TemplateSet, ...]] = {
-    "a14": (TemplateSet(("XX",), ("Z",)),),
-    "a6": (TemplateSet(("XY", "YX", "ZZ")),),
+ALTERNATIVES: dict[str, TemplateSet] = {
+    "a14": TemplateSet(("XX",), ("Z",)),
+    "a6": TemplateSet(("XY", "YX", "ZZ")),
 }
 
 
@@ -51,17 +51,8 @@ def check_label(label: str) -> str:
     return label
 
 
-def is_a_type(label: str) -> bool:
-    return check_label(label).startswith("a")
-
-
 def templates_for(label: str) -> TemplateSet:
     return CATALOG[check_label(label)]
-
-
-def alternative_templates(label: str) -> tuple[TemplateSet, ...]:
-    """Equivalent template sets for the label (possibly empty)."""
-    return ALTERNATIVES.get(check_label(label), ())
 
 
 @dataclass(frozen=True)
@@ -73,6 +64,24 @@ class GeneratorSet:
     @property
     def n(self) -> int:
         return self.graph.n
+
+
+def generator_members(generators) -> tuple[PauliString, ...]:
+    """The members of a GeneratorSet or of any iterable of PauliString.
+
+    Raises ValueError unless the list is nonempty, every member has the same
+    site count and none is the identity.  Repeats are kept.
+    """
+    members = generators.members if isinstance(generators, GeneratorSet) else tuple(generators)
+    if not members:
+        raise ValueError("need at least one generator")
+    n = members[0].n
+    for p in members:
+        if p.n != n:
+            raise ValueError(f"mixed site counts in generators: {p.n} vs {n}")
+        if p.is_identity:
+            raise ValueError("identity is not a valid generator")
+    return members
 
 
 def place_templates(templates: TemplateSet, graph: InteractionGraph) -> tuple[PauliString, ...]:
@@ -102,15 +111,13 @@ def place_on_graph(label: str, graph: InteractionGraph) -> GeneratorSet:
     >>> [str(p) for p in place_on_graph("a2", build_graph(2, [(0, 1)])).members]
     ['XY', 'YX']
     """
-    check_label(label)
-    if is_a_type(label) and graph.edge_count == 0:
+    if check_label(label).startswith("a") and graph.edge_count == 0:
         raise ValueError(f"{label} needs at least one edge")
     return GeneratorSet(label, graph, place_templates(templates_for(label), graph))
 
 
-def place_alternative(label: str, graph: InteractionGraph, which: int = 0) -> GeneratorSet:
-    """Like place_on_graph but with one of the label's alternative template sets."""
-    alts = alternative_templates(label)
-    if not alts:
+def place_alternative(label: str, graph: InteractionGraph) -> GeneratorSet:
+    """Like place_on_graph but with the label's alternative template set."""
+    if check_label(label) not in ALTERNATIVES:
         raise ValueError(f"no alternative generators recorded for {label}")
-    return GeneratorSet(label, graph, place_templates(alts[which], graph))
+    return GeneratorSet(label, graph, place_templates(ALTERNATIVES[label], graph))

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from dlagraph.catalog import GeneratorSet
+from dlagraph.catalog import generator_members
 from dlagraph.pauli import PauliString
 
 DEFAULT_LIMIT = 4**10
@@ -116,35 +116,11 @@ def anticommuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return (np.bitwise_count(a & swapped) & 1).astype(bool)
 
 
-def _member_list(generators) -> list[PauliString]:
-    if isinstance(generators, GeneratorSet):
-        return list(generators.members)
-    return list(generators)
-
-
-def _initial_keys(members: list[PauliString]) -> tuple[int, list[int]]:
-    if not members:
-        raise ValueError("need at least one generator")
-    n = members[0].n
-    if n > _KEY_MAX_QUBITS:
-        raise ValueError(f"the closure engine handles at most {_KEY_MAX_QUBITS} qubits, got {n}")
-    seen = set()
-    order = []
-    for p in members:
-        if p.n != n:
-            raise ValueError(f"mixed site counts in generators: {p.n} vs {n}")
-        if p.is_identity:
-            raise ValueError("identity is not a valid generator")
-        if p.key not in seen:
-            seen.add(p.key)
-            order.append(p.key)
-    return n, order
-
-
 def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> ClosureResult:
     """Smallest commutator-closed set of canonical strings containing the generators.
 
-    ``generators`` is a GeneratorSet or any iterable of PauliString.  Raises
+    ``generators`` is a GeneratorSet or any iterable of PauliString, checked
+    by ``generator_members``; repeats, also up to phase, count once.  Raises
     ClosureLimitError when the basis grows past ``limit``, and AssertionError
     when ``verify`` is set and the two-way certificate does not check.  The
     result only depends on the generator set; the basis ordering only on its
@@ -156,8 +132,11 @@ def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> 
     """
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    n, initial = _initial_keys(_member_list(generators))
-    gens = np.asarray(initial, dtype=np.int64)
+    members = generator_members(generators)
+    n = members[0].n
+    if n > _KEY_MAX_QUBITS:
+        raise ValueError(f"the closure engine handles at most {_KEY_MAX_QUBITS} qubits, got {n}")
+    gens = np.asarray(list(dict.fromkeys(p.key for p in members)), dtype=np.int64)
     keys, parents = _orbit(gens, n, limit)
     if verify:
         _check_certificate(gens, keys, parents, n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from dlagraph.catalog import GeneratorSet
+from dlagraph.catalog import generator_members
 from dlagraph.pauli import PauliString, commutes
 
 MAX_SEARCH_VERTICES = 24
@@ -58,29 +58,19 @@ class FrustrationGraph:
         ]
 
 
-def _members(generators) -> tuple[PauliString, ...]:
-    members = generators.members if isinstance(generators, GeneratorSet) else tuple(generators)
-    if not members:
-        raise ValueError("need at least one generator")
-    n = members[0].n
-    if any(p.n != n for p in members):
-        raise ValueError("mixed site counts in generators")
-    if any(p.is_identity for p in members):
-        raise ValueError("identity is not a valid generator")
-    canonical = tuple(p.canonical for p in members)
-    if len({p.key for p in canonical}) != len(canonical):
-        raise ValueError("duplicate generators (up to phase) confuse coloring indices")
-    return canonical
-
-
 def build_frustration(generators) -> FrustrationGraph:
-    """Anticommutation graph of a generator list.
+    """Anticommutation graph of a generator list, as canonical strings.
+
+    Raises ValueError on a list ``generator_members`` rejects, and on repeats
+    up to phase, since a coloring names generators by index.
 
     >>> fg = build_frustration([parse_pauli("XX"), parse_pauli("YY"), parse_pauli("ZI")])
     >>> fg.edges()
     [(0, 2), (1, 2)]
     """
-    members = _members(generators)
+    members = tuple(p.canonical for p in generator_members(generators))
+    if len({p.key for p in members}) != len(members):
+        raise ValueError("duplicate generators (up to phase) confuse coloring indices")
     adj = [0] * len(members)
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -133,9 +123,8 @@ def colorings_for_target(fg: FrustrationGraph, target: PauliString) -> list[int]
     rather than enumerating more than 2^20 solutions.
     """
     _check_target(fg, target)
-    n = fg.n
-    vectors = [(p.x_bits << n) | p.z_bits for p in fg.generators]
-    goal = (target.x_bits << n) | target.z_bits
+    vectors = [p.key for p in fg.generators]
+    goal = target.key
 
     pivots: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, membermask)
     kernel: list[int] = []
@@ -183,20 +172,18 @@ class Trace:
         return c
 
 
-def reachable(fg: FrustrationGraph, target_coloring: int,
-              max_vertices: int = MAX_SEARCH_VERTICES):
+def reachable(fg: FrustrationGraph, target_coloring: int):
     """Shortest Trace from any singleton to the target coloring, or None.
 
     Breadth-first over the coloring space (all singletons enter the queue at
     distance zero), with ties broken by vertex index, so results are
-    deterministic.  Refuses graphs with more than ``max_vertices`` generators;
-    the state space is 2^size.
+    deterministic.  The state space is 2^size, so a graph with more than
+    MAX_SEARCH_VERTICES generators raises SearchSpaceTooLarge.
     """
     _check_coloring(fg, target_coloring)
-    if fg.size > max_vertices:
+    if fg.size > MAX_SEARCH_VERTICES:
         raise SearchSpaceTooLarge(
-            f"{fg.size} generators exceed the search cap {max_vertices}; "
-            "raise max_vertices explicitly to override"
+            f"{fg.size} generators exceed the search cap {MAX_SEARCH_VERTICES}"
         )
     if target_coloring == 0:
         return None
@@ -234,12 +221,13 @@ def _trace_from(parents, final):
         c = prev
 
 
-def member_via_frustration(generators, target: PauliString,
-                           max_vertices: int = MAX_SEARCH_VERTICES):
+def member_via_frustration(generators, target: PauliString):
     """Certificate that the target is (not) in the closure of the generators.
 
-    Returns a Trace whose final coloring multiplies to the target, or None
-    when no coloring of the target is reachable from any singleton.
+    Returns the shortest Trace whose final coloring multiplies to the target,
+    or None when no coloring of the target is reachable from any singleton.
+    When the target has colorings, raises KernelTooLarge past 2^MAX_KERNEL_DIM
+    of them, and SearchSpaceTooLarge past MAX_SEARCH_VERTICES generators.
     """
     fg = build_frustration(generators)
     _check_target(fg, target)
@@ -247,7 +235,7 @@ def member_via_frustration(generators, target: PauliString,
         return None
     best = None
     for coloring in colorings_for_target(fg, target):
-        trace = reachable(fg, coloring, max_vertices=max_vertices)
+        trace = reachable(fg, coloring)
         if trace is not None and (best is None or len(trace.steps) < len(best.steps)):
             best = trace
     return best

@@ -22,10 +22,6 @@ class InteractionGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [b if a == v else a for (a, b) in self.edges if v in (a, b)]
-        return tuple(sorted(out))
-
     def __str__(self) -> str:
         return f"graph(n={self.n}, edges={list(self.edges)})"
 
@@ -194,14 +190,16 @@ def parse_graph_text(text: str) -> InteractionGraph:
         if not line:
             continue
         parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ValueError(f"line {lineno}: expected 'n <count>', got {raw!r}")
-            n = int(parts[1])
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        form = "'n <count>'" if n is None else "'u v'"
+        try:
+            if len(parts) != 2 or (n is None and parts[0] != "n"):
+                raise ValueError
+            if n is None:
+                n = int(parts[1])
+            else:
+                edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected {form}, got {raw!r}") from None
     if n is None:
         raise ValueError("missing 'n <count>' header line")
     return build_graph(n, edges)

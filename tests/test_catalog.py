@@ -1,14 +1,17 @@
 import pytest
 
 from dlagraph.catalog import (
+    ALTERNATIVES,
     CATALOG,
     LABELS,
-    alternative_templates,
+    generator_members,
     place_alternative,
     place_on_graph,
     place_templates,
     templates_for,
 )
+from dlagraph.closure import lie_closure
+from dlagraph.frustration import build_frustration, member_via_frustration
 from dlagraph.graphs import build_graph, complete_bipartite, complete_graph, sigma_graph
 from dlagraph.pauli import parse_pauli
 
@@ -64,9 +67,9 @@ def test_member_counts_on_sigma():
 
 
 def test_alternative_template_sets():
-    assert alternative_templates("a14")[0].one_local == ("Z",)
-    assert alternative_templates("a6")[0].two_local == ("XY", "YX", "ZZ")
-    assert alternative_templates("a0") == ()
+    assert ALTERNATIVES["a14"].one_local == ("Z",)
+    assert ALTERNATIVES["a6"].two_local == ("XY", "YX", "ZZ")
+    assert "a0" not in ALTERNATIVES
     with pytest.raises(ValueError):
         place_alternative("a0", EDGE)
 
@@ -102,3 +105,35 @@ def test_catalog_is_frozen_surface():
     # K5 a22 placement: XX gives 1 string per edge, XY/YX and XZ/ZX 2 each
     gens = place_on_graph("a22", complete_graph(5))
     assert len(gens.members) == 10 * 5
+
+
+def paulis(*words):
+    return [parse_pauli(w) for w in words]
+
+
+def test_generator_members_takes_sets_and_iterables():
+    gens = place_on_graph("a2", EDGE)
+    assert generator_members(gens) == gens.members
+    assert generator_members(iter(gens.members)) == gens.members
+    # repeats are the consumer's business
+    assert generator_members(paulis("XX", "-XX")) == tuple(paulis("XX", "-XX"))
+
+
+@pytest.mark.parametrize("consume", [
+    generator_members,
+    lie_closure,
+    build_frustration,
+    lambda gens: member_via_frustration(gens, parse_pauli("XX")),
+], ids=["generator_members", "lie_closure", "build_frustration", "member_via_frustration"])
+@pytest.mark.parametrize("words", [(), ("X", "XX"), ("XX", "II")],
+                         ids=["empty", "mixed_sites", "identity"])
+def test_consumers_reject_the_same_generator_lists(consume, words):
+    with pytest.raises(ValueError):
+        consume(paulis(*words))
+
+
+def test_repeats_up_to_phase_merge_in_closure_only():
+    # closure works on phase-free keys; a coloring names generators by index
+    assert lie_closure(paulis("XX", "-XX")).dimension == 1
+    with pytest.raises(ValueError):
+        build_frustration(paulis("XX", "-XX"))

@@ -138,6 +138,19 @@ def test_frustration_member_kernel_cap_exit_4(capsys):
     assert "kernel" in err
 
 
+def test_frustration_member_search_cap_exit_4(capsys):
+    # b3 on a 13-vertex line places 26 generators, past the search cap of 24
+    code, out, err = run_cli(
+        capsys, "frustration", "member",
+        "--graph", "L:13", "--algebra", "b3", "--target", "X" + "I" * 12,
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert "max_vertices" not in err
+
+
 def test_frustration_build_json(capsys):
     code, out, _ = run_cli(
         capsys, "frustration", "build", "--graph", "K:2", "--algebra", "b3", "--json"
@@ -292,6 +305,20 @@ def test_malformed_graph_json_exit_2(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("n abc\n", "line 1"),
+    ("n 3\n0 1\n1 x\n", "line 3"),
+])
+def test_malformed_edge_list_names_the_line(tmp_path, capsys, text, line):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", "--graph", str(path), "--algebra", "a2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert line in err
 
 
 def test_graph_file_json(tmp_path, capsys):
