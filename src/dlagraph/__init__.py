@@ -32,7 +32,6 @@ from dlagraph.closure import (
 )
 from dlagraph.frustration import (
     FrustrationGraph,
-    KernelTooLarge,
     SearchSpaceTooLarge,
     Trace,
     build_frustration,
@@ -92,7 +91,6 @@ __all__ = [
     "GeneratorSet",
     "InteractionGraph",
     "Involution",
-    "KernelTooLarge",
     "PauliString",
     "SearchSpaceTooLarge",
     "Summand",

@@ -23,7 +23,6 @@ from dlagraph.catalog import LABELS, place_alternative, place_on_graph
 from dlagraph.classify import SCOPE_OUT, classify
 from dlagraph.closure import DEFAULT_LIMIT, ClosureLimitError, lie_closure
 from dlagraph.frustration import (
-    KernelTooLarge,
     SearchSpaceTooLarge,
     build_frustration,
     member_via_frustration,
@@ -151,7 +150,6 @@ def _cmd_frustration_build(args) -> tuple[dict, list[str], int]:
 def _cmd_frustration_member(args) -> tuple[dict, list[str], int]:
     gens = _generators(args)
     target = parse_pauli(args.target)
-    fg = build_frustration(gens)
     trace = member_via_frustration(gens, target)
     if trace is None:
         result = {
@@ -163,6 +161,7 @@ def _cmd_frustration_member(args) -> tuple[dict, list[str], int]:
         }
         lines = [f"target {target.canonical.letters()}: not a member (no reachable coloring)"]
         return result, lines, EXIT_OK
+    fg = build_frustration(gens)
     colored = [i for i in range(fg.size) if trace.coloring >> i & 1]
     result = {
         "target": target.canonical.letters(),
@@ -295,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm = fsub.add_parser("member", parents=[common],
                          help="search a toggle walk reaching the target")
     _add_graph_algebra(pm)
-    pm.add_argument("--target", required=True, help="Pauli string, e.g. XIIYI")
+    pm.add_argument("--target", required=True,
+                    help="Pauli string, e.g. XIIYI; the phase is ignored, "
+                         "and a signed target is written --target=-iXIIYI")
     pm.set_defaults(func=_cmd_frustration_member)
 
     p = sub.add_parser(
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         result, lines, code = args.func(args)
-    except (ClosureLimitError, KernelTooLarge, SearchSpaceTooLarge) as exc:
+    except (ClosureLimitError, SearchSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except ValueError as exc:

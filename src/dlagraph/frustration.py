@@ -16,24 +16,14 @@ from dataclasses import dataclass
 from dlagraph.catalog import generator_members
 from dlagraph.pauli import PauliString, commutes
 
+# The only cap.  build_frustration rejects repeats and the identity, so s
+# generators span r >= log2(s + 1) dimensions, and a target in their span has
+# 2^(s - r) colorings: at most 2^19 at s = 24.
 MAX_SEARCH_VERTICES = 24
-MAX_KERNEL_DIM = 20
 
 
 class SearchSpaceTooLarge(ValueError):
     """Too many generators for a breadth-first walk over 2^size colorings."""
-
-
-class KernelTooLarge(Exception):
-    """Too many colorings of the target to enumerate; carries the solution space."""
-
-    def __init__(self, particular: int, kernel_basis: tuple[int, ...]):
-        super().__init__(
-            f"coloring kernel has dimension {len(kernel_basis)} > {MAX_KERNEL_DIM}; "
-            "sample particular ^ xor(subset of kernel_basis) instead"
-        )
-        self.particular = particular
-        self.kernel_basis = kernel_basis
 
 
 @dataclass(frozen=True)
@@ -101,6 +91,13 @@ def _check_target(fg: FrustrationGraph, target: PauliString):
         raise ValueError(f"target has {target.n} sites, generators {fg.n}")
 
 
+def _check_search_size(fg: FrustrationGraph):
+    if fg.size > MAX_SEARCH_VERTICES:
+        raise SearchSpaceTooLarge(
+            f"{fg.size} generators exceed the search cap {MAX_SEARCH_VERTICES}"
+        )
+
+
 def is_legal_toggle(fg: FrustrationGraph, coloring: int, i: int) -> bool:
     if not 0 <= i < fg.size:
         raise ValueError(f"no generator {i}")
@@ -119,8 +116,10 @@ def colorings_for_target(fg: FrustrationGraph, target: PauliString) -> list[int]
     """All colorings whose product is canonically the target, sorted.
 
     Solves the linear system over GF(2) (one particular solution plus the
-    kernel of the generator matrix) and enumerates; raises KernelTooLarge
-    rather than enumerating more than 2^20 solutions.
+    kernel of the generator matrix) and enumerates.  A target outside the
+    generators' span gets [] at any size; for one inside it, a graph with more
+    than MAX_SEARCH_VERTICES generators raises SearchSpaceTooLarge before any
+    coloring is listed.
     """
     _check_target(fg, target)
     vectors = [p.key for p in fg.generators]
@@ -149,8 +148,7 @@ def colorings_for_target(fg: FrustrationGraph, target: PauliString) -> list[int]
         pv, pm = pivots[lead]
         goal ^= pv
         mask ^= pm
-    if len(kernel) > MAX_KERNEL_DIM:
-        raise KernelTooLarge(mask, tuple(kernel))
+    _check_search_size(fg)
     solutions = {mask}
     for k in kernel:
         solutions |= {s ^ k for s in solutions}
@@ -178,13 +176,11 @@ def reachable(fg: FrustrationGraph, target_coloring: int):
     Breadth-first over the coloring space (all singletons enter the queue at
     distance zero), with ties broken by vertex index, so results are
     deterministic.  The state space is 2^size, so a graph with more than
-    MAX_SEARCH_VERTICES generators raises SearchSpaceTooLarge.
+    MAX_SEARCH_VERTICES generators raises SearchSpaceTooLarge, even for the
+    empty coloring.
     """
     _check_coloring(fg, target_coloring)
-    if fg.size > MAX_SEARCH_VERTICES:
-        raise SearchSpaceTooLarge(
-            f"{fg.size} generators exceed the search cap {MAX_SEARCH_VERTICES}"
-        )
+    _check_search_size(fg)
     if target_coloring == 0:
         return None
     parents: dict[int, tuple[int, int]] = {}
@@ -226,8 +222,9 @@ def member_via_frustration(generators, target: PauliString):
 
     Returns the shortest Trace whose final coloring multiplies to the target,
     or None when no coloring of the target is reachable from any singleton.
-    When the target has colorings, raises KernelTooLarge past 2^MAX_KERNEL_DIM
-    of them, and SearchSpaceTooLarge past MAX_SEARCH_VERTICES generators.
+    The identity and targets outside the generators' span get None at any
+    size; any other target raises SearchSpaceTooLarge past
+    MAX_SEARCH_VERTICES generators, before a coloring is listed.
     """
     fg = build_frustration(generators)
     _check_target(fg, target)

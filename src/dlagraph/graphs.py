@@ -127,16 +127,17 @@ def bipartition(g: InteractionGraph):
     """The Bipartition, or None if some component has an odd cycle."""
     adj = _adjacency_sets(g)
     colors = [-1] * g.n
-    for comp in connected_components(g):
-        root = comp[0]
+    for root in range(g.n):
+        if colors[root] != -1:
+            continue
         colors[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
+        stack = [root]
+        while stack:
+            v = stack.pop()
             for w in adj[v]:
                 if colors[w] == -1:
                     colors[w] = 1 - colors[v]
-                    queue.append(w)
+                    stack.append(w)
                 elif colors[w] == colors[v]:
                     return None
     return Bipartition(tuple(colors))

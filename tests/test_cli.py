@@ -135,7 +135,7 @@ def test_frustration_member_kernel_cap_exit_4(capsys):
         "--graph", "K:6", "--algebra", "a22", "--target", "XXXXXX",
     )
     assert code == 4
-    assert "kernel" in err
+    assert "search cap" in err
 
 
 def test_frustration_member_search_cap_exit_4(capsys):
@@ -149,6 +149,31 @@ def test_frustration_member_search_cap_exit_4(capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert "max_vertices" not in err
+
+
+def test_frustration_member_over_cap_answers_outside_the_span(capsys):
+    # b1 on a 13-vertex line places 25 generators, past the search cap of 24
+    argv = ["frustration", "member", "--graph", "L:13", "--algebra", "b1", "--json"]
+    code, out, _ = run_cli(capsys, *argv, "--target", "Z" + "I" * 12)
+    assert code == 0
+    assert json.loads(out)["member"] is False
+    code, out, err = run_cli(capsys, *argv, "--target", "X" + "I" * 12)
+    assert code == 4
+    assert out == ""
+    assert err == "error: 25 generators exceed the search cap 24\n"
+
+
+def test_frustration_member_signed_target_needs_equals(capsys):
+    argv = ["frustration", "member", "--graph", "Sigma", "--algebra", "a2", "--json"]
+    _, plain, _ = run_cli(capsys, *argv, "--target", "XIIYI")
+    code, signed, _ = run_cli(capsys, *argv, "--target=-iXIIYI")
+    assert code == 0
+    assert signed == plain
+    # separated by a space, argparse reads the signed target as a flag
+    with pytest.raises(SystemExit) as wrapped:
+        cli.main([*argv, "--target", "-iXIIYI"])
+    assert wrapped.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_frustration_build_json(capsys):

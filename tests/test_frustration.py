@@ -5,7 +5,7 @@ import pytest
 from dlagraph.catalog import place_alternative, place_on_graph
 from dlagraph.closure import contains, lie_closure
 from dlagraph.frustration import (
-    KernelTooLarge,
+    SearchSpaceTooLarge,
     Trace,
     build_frustration,
     colorings_for_target,
@@ -15,7 +15,7 @@ from dlagraph.frustration import (
     reachable,
     toggle,
 )
-from dlagraph.graphs import line_graph, sigma_graph
+from dlagraph.graphs import complete_bipartite, line_graph, sigma_graph
 from dlagraph.pauli import parse_pauli
 
 
@@ -81,14 +81,21 @@ def test_colorings_for_target_complete():
     assert colorings_for_target(fg, parse_pauli("ZIIII")) == []
 
 
-def test_kernel_too_large_reports_solution_space():
+def test_search_cap_refuses_in_span_targets_before_listing():
     # 27 distinct strings on 3 qubits: rank at most 6, kernel at least 21
     words = ["".join(w) for w in itertools.product("IXYZ", repeat=3)][1:28]
     fg = build_frustration(paulis(*words))
-    with pytest.raises(KernelTooLarge) as info:
+    with pytest.raises(SearchSpaceTooLarge):
         colorings_for_target(fg, parse_pauli(words[0]))
-    assert len(info.value.kernel_basis) > 20
-    assert product_of(fg, info.value.particular).same_letters(parse_pauli(words[0]))
+
+
+def test_search_cap_holds_below_the_old_kernel_bound():
+    # K_{2,4} a16: 32 generators with a kernel of dimension 20, which the
+    # kernel bound alone let through as 2^20 colorings
+    fg = build_frustration(place_on_graph("a16", complete_bipartite(2, 4)))
+    assert fg.size == 32
+    with pytest.raises(SearchSpaceTooLarge):
+        colorings_for_target(fg, parse_pauli("XYIIII"))
 
 
 def test_reachable_singleton_and_replay():
