@@ -20,7 +20,6 @@ from dlagraph.classify import (
     Summand,
     classify,
     normal_form,
-    predicted_dim,
     simple_dim,
 )
 from dlagraph.closure import (
@@ -126,7 +125,6 @@ __all__ = [
     "pauli_from_sites",
     "place_alternative",
     "place_on_graph",
-    "predicted_dim",
     "product_of",
     "quarter_congruence",
     "quarter_conjugate",

@@ -3,10 +3,11 @@
 A connected graph first reduces to its normal form (``normal_form``): K_n for
 a complete graph with n >= 3 and, under a7/a16/a20/a22, for every connected
 graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex has degree
-> 2.  One table keyed by label and normal-form shape (``_TABLE``, read by
-``theorem_summands``) then gives the summands.  Lines and cycles are out of
-scope only for a2/a4/a6/a14: the classifier refuses to guess and the caller
-can fall back to the closure engine for a dimension.
+> 2.  One table (``_TABLE``) is then read by normal form:
+``theorem_summands(label, nf)`` takes K_n's column from n and K_{l,m}'s from
+(l, m), and refuses a form with no column.  Lines and cycles are out of scope
+only for a2/a4/a6/a14: the classifier refuses to guess and the caller can fall
+back to the closure engine for a dimension.
 """
 
 from __future__ import annotations
@@ -113,12 +114,17 @@ def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     return _reduce(g, label, bip.sizes if bip else None)
 
 
-def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
-    # normal_form given the bipartition sizes, which classify needs anyway
+def _row(label: str) -> tuple:
     check_label(label)
     row = _TABLE.get(label)
     if row is None:
         raise ValueError(f"no reduction theory for {label}")
+    return row
+
+
+def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
+    # normal_form given the bipartition sizes, which classify needs anyway
+    row = _row(label)
     if g.n < 3:
         return NormalForm("too_small", (g.n,))
     if is_complete(g) or len(row) == 2:
@@ -130,20 +136,25 @@ def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
     return NormalForm("complete_bipartite", bip_sizes)
 
 
-def theorem_summands(label: str, n: int, bip_sizes) -> tuple[Summand, ...]:
-    """Predicted summands for a connected graph whose normal form is K_n or K_{l,m}.
+def theorem_summands(label: str, nf: NormalForm) -> tuple[Summand, ...]:
+    """Predicted summands of ``label`` on the normal form ``nf``.
 
-    ``bip_sizes`` is (l, m) for bipartite graphs and None otherwise; only
-    rows with K_{l,m} columns read it.
+    K_n reads its column from ``nf.params == (n,)`` and K_{l,m} from
+    ``(l, m)``.  A form with no column in the label's row raises ValueError.
+
+    >>> [str(s) for s in theorem_summands("a14", NormalForm("complete_bipartite", (3, 3)))]
+    ['sp(16)^2']
     """
-    row = _TABLE.get(label)
-    if row is None:
-        raise ValueError(f"no structure table row for {label}")
-    if bip_sizes is None or len(row) == 2:
+    row = _row(label)
+    n = sum(nf.params)
+    if nf.kind == "complete":
         column = int(n % 2 == 0)
+    elif nf.kind == "complete_bipartite":
+        column = 4 if n % 2 else 2 + (nf.params[0] % 2 == 0)
     else:
-        l, m = bip_sizes
-        column = 4 if (l + m) % 2 else 2 + (l % 2 == 0)
+        column = len(row)  # line_or_cycle and too_small have no column
+    if column >= len(row):
+        raise ValueError(f"no {label} table column for {nf}")
     family, drop, multiplicity = row[column]
     return (Summand(family, 1 << (n - drop), multiplicity),)
 
@@ -180,9 +191,10 @@ def _classify_connected(g: InteractionGraph, label: str, oracle: bool) -> Classi
     if e == 0:
         # an isolated vertex carries no 2-local interaction at all
         return _finish([], SCOPE_THEOREM, bip_sizes)
-    if _reduce(g, label, bip_sizes).kind in ("complete", "complete_bipartite"):
+    nf = _reduce(g, label, bip_sizes)
+    if nf.kind in ("complete", "complete_bipartite"):
         scope = SCOPE_COMPLETE if is_complete(g) else SCOPE_THEOREM
-        return _finish(theorem_summands(label, n, bip_sizes), scope, bip_sizes)
+        return _finish(theorem_summands(label, nf), scope, bip_sizes)
     if oracle:
         dim = lie_closure(place_on_graph(label, g)).dimension
         return Classification((), dim, SCOPE_ORACLE, bip_sizes)
@@ -210,11 +222,3 @@ def classify(g: InteractionGraph, label: str, oracle: bool = False) -> Classific
     merged = _merge(s for p in parts for s in p.summands)
     total = sum(p.total_dim for p in parts)
     return Classification(merged, total, scope, whole_sizes)
-
-
-def predicted_dim(g: InteractionGraph, label: str) -> int:
-    """total_dim of classify, raising if the input is out of scope."""
-    c = classify(g, label)
-    if c.scope == SCOPE_OUT:
-        raise ValueError("out of scope: no structure prediction for lines/cycles")
-    return c.total_dim

@@ -6,7 +6,7 @@ transpose sign and its commutation sign with Q multiply to -1, so the fixed
 subset of a string basis is computable without matrices.  Fixed points of a
 closed basis are again closed; ``fixed_subset`` asserts that instead of
 assuming it.  ``cross_check`` compares the fixed points with the closure on
-K_{l,m} and with the structure table's K_{l,m} row.
+K_{l,m} and with the structure table's K_{l,m} column.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dlagraph.catalog import place_on_graph
-from dlagraph.classify import normal_form, theorem_summands
+from dlagraph.classify import NormalForm, normal_form, theorem_summands
 from dlagraph.closure import ClosureResult, ClosureStats, anticommuting, closed_under, lie_closure
 from dlagraph.graphs import complete_bipartite
 from dlagraph.pauli import PauliString, commutes, pauli_from_sites, transpose_sign
@@ -77,7 +77,7 @@ def fixed_subset(theta: Involution, result: ClosureResult) -> ClosureResult:
 def upper_bound_dim(label: str, l: int, m: int) -> int:
     """Fixed-subalgebra dimension formula for a4 or a14 at block sizes (l, m).
 
-    This is the structure table's K_{l,m} row.  Valid as a statement about
+    This is the structure table's K_{l,m} column.  Valid as a statement about
     complete bipartite graphs once K_{l,m} has a vertex of degree > 2
     (max(l, m) >= 3); smaller shapes are out of hypothesis and the number is
     only a conjecture to compare against.
@@ -86,13 +86,13 @@ def upper_bound_dim(label: str, l: int, m: int) -> int:
         raise ValueError("block sizes must be positive")
     if label not in ("a4", "a14"):
         raise ValueError(f"fixed-point bounds are recorded for a4 and a14, not {label!r}")
-    return sum(s.dim for s in theorem_summands(label, l + m, (l, m)))
+    return sum(s.dim for s in theorem_summands(label, NormalForm("complete_bipartite", (l, m))))
 
 
 @dataclass(frozen=True)
 class CrossCheck:
     """The (l, m) cross-check: fixed points of the K_{l+m} closure against the
-    K_{l,m} closure and against the structure table's K_{l,m} row."""
+    K_{l,m} closure and against the structure table's K_{l,m} column."""
 
     block: ClosureResult
     fixed: ClosureResult

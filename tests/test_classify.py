@@ -12,7 +12,6 @@ from dlagraph.classify import (
     Summand,
     classify,
     normal_form,
-    predicted_dim,
     simple_dim,
     theorem_summands,
 )
@@ -173,12 +172,6 @@ def test_b_rows_merge_across_components():
     assert c.scope == SCOPE_DIRECT_SUM
 
 
-def test_predicted_dim_raises_out_of_scope():
-    with pytest.raises(ValueError):
-        predicted_dim(cycle_graph(5), "a2")
-    assert predicted_dim(omega_graph(), "a2") == 56
-
-
 def test_full_theorem_table_against_engine_n4():
     # every branched 4-vertex graph, every label: prediction == closure
     graphs = [
@@ -198,43 +191,70 @@ def test_full_theorem_table_against_engine_n4():
 # one cell per label and table column: K_n at n = 5 and 6, and K_{l,m} at
 # (3, 3), (2, 4) and (2, 3).  The engine checks compare only total dimensions,
 # so these pin the family and the multiplicity of each entry.
-@pytest.mark.parametrize("label, n, bip_sizes, want", [
-    ("a2", 5, None, "so(16)^2"),
-    ("a2", 6, None, "so(32)^2"),
-    ("a2", 6, (3, 3), "su(16)^2"),
-    ("a2", 6, (2, 4), "so(16)^4"),
-    ("a2", 5, (2, 3), "so(16)"),
-    ("a4", 5, None, "su(16)"),
-    ("a4", 6, None, "su(16)^4"),
-    ("a4", 6, (3, 3), "su(16)^2"),
-    ("a4", 6, (2, 4), "so(16)^4"),
-    ("a4", 5, (2, 3), "so(16)"),
-    ("a6", 5, None, "su(16)^2"),
-    ("a6", 6, None, "su(32)^2"),
-    ("a6", 6, (3, 3), "su(16)^4"),
-    ("a6", 6, (2, 4), "su(16)^4"),
-    ("a6", 5, (2, 3), "su(16)"),
-    ("a7", 5, None, "su(16)"),
-    ("a7", 6, None, "su(16)^4"),
-    ("a14", 5, None, "su(16)^2"),
-    ("a14", 6, None, "su(32)^2"),
-    ("a14", 6, (3, 3), "sp(16)^2"),
-    ("a14", 6, (2, 4), "so(32)^2"),
-    ("a14", 5, (2, 3), "su(16)"),
-    ("a16", 5, None, "so(32)"),
-    ("a16", 6, None, "so(64)"),
-    ("a20", 5, None, "su(16)^2"),
-    ("a20", 6, None, "su(32)^2"),
-    ("a22", 5, None, "su(32)"),
-    ("a22", 6, None, "su(64)"),
-])
-def test_theorem_summands_table_cells(label, n, bip_sizes, want):
-    assert [str(s) for s in theorem_summands(label, n, bip_sizes)] == [want]
+_TABLE_CELLS = [
+    ("a2", NormalForm("complete", (5,)), "so(16)^2"),
+    ("a2", NormalForm("complete", (6,)), "so(32)^2"),
+    ("a2", NormalForm("complete_bipartite", (3, 3)), "su(16)^2"),
+    ("a2", NormalForm("complete_bipartite", (2, 4)), "so(16)^4"),
+    ("a2", NormalForm("complete_bipartite", (2, 3)), "so(16)"),
+    ("a4", NormalForm("complete", (5,)), "su(16)"),
+    ("a4", NormalForm("complete", (6,)), "su(16)^4"),
+    ("a4", NormalForm("complete_bipartite", (3, 3)), "su(16)^2"),
+    ("a4", NormalForm("complete_bipartite", (2, 4)), "so(16)^4"),
+    ("a4", NormalForm("complete_bipartite", (2, 3)), "so(16)"),
+    ("a6", NormalForm("complete", (5,)), "su(16)^2"),
+    ("a6", NormalForm("complete", (6,)), "su(32)^2"),
+    ("a6", NormalForm("complete_bipartite", (3, 3)), "su(16)^4"),
+    ("a6", NormalForm("complete_bipartite", (2, 4)), "su(16)^4"),
+    ("a6", NormalForm("complete_bipartite", (2, 3)), "su(16)"),
+    ("a7", NormalForm("complete", (5,)), "su(16)"),
+    ("a7", NormalForm("complete", (6,)), "su(16)^4"),
+    ("a14", NormalForm("complete", (5,)), "su(16)^2"),
+    ("a14", NormalForm("complete", (6,)), "su(32)^2"),
+    ("a14", NormalForm("complete_bipartite", (3, 3)), "sp(16)^2"),
+    ("a14", NormalForm("complete_bipartite", (2, 4)), "so(32)^2"),
+    ("a14", NormalForm("complete_bipartite", (2, 3)), "su(16)"),
+    ("a16", NormalForm("complete", (5,)), "so(32)"),
+    ("a16", NormalForm("complete", (6,)), "so(64)"),
+    ("a20", NormalForm("complete", (5,)), "su(16)^2"),
+    ("a20", NormalForm("complete", (6,)), "su(32)^2"),
+    ("a22", NormalForm("complete", (5,)), "su(32)"),
+    ("a22", NormalForm("complete", (6,)), "su(64)"),
+]
+
+
+def _cell_id(index, label, nf, want):
+    # the ids the cells had when the lookup took (label, n, bip_sizes), so a
+    # cell's test history survives the change of signature
+    shape = "None" if nf.kind == "complete" else f"bip_sizes{index}"
+    return f"{label}-{sum(nf.params)}-{shape}-{want}"
+
+
+@pytest.mark.parametrize(
+    "label, nf, want", _TABLE_CELLS,
+    ids=[_cell_id(i, *cell) for i, cell in enumerate(_TABLE_CELLS)],
+)
+def test_theorem_summands_table_cells(label, nf, want):
+    assert [str(s) for s in theorem_summands(label, nf)] == [want]
 
 
 def test_complete_summands_need_n3():
     with pytest.raises(ValueError):
-        theorem_summands("a0", 4, None)
+        theorem_summands("a0", NormalForm("complete", (4,)))
+
+
+@pytest.mark.parametrize("label, nf", [
+    ("a2", NormalForm("line_or_cycle", (6,))),
+    ("a2", NormalForm("too_small", (2,))),
+    *(
+        (label, NormalForm("complete_bipartite", (3, 3)))
+        for label in ("a7", "a16", "a20", "a22")
+    ),
+], ids=lambda v: v if isinstance(v, str) else v.kind)
+def test_theorem_summands_rejects_forms_without_a_column(label, nf):
+    # no column in the label's row fits these forms: refuse rather than guess
+    with pytest.raises(ValueError, match="no .* table column"):
+        theorem_summands(label, nf)
 
 
 @pytest.mark.parametrize("label", ["a7", "a16", "a20", "a22"])
