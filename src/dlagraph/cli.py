@@ -192,7 +192,7 @@ def _cmd_involution(args) -> tuple[dict, list[str], int]:
         f"algebra {label}, blocks l={l} m={m} (n={l + m})",
         f"closure dim on K_{{{l},{m}}}: {check.block.dimension}",
         f"fixed-point dim inside K_{l + m} closure: {check.fixed.dimension}",
-        f"closed-form dim: {check.formula_dim}{note}",
+        f"closed-form dim: {'none' if check.formula_dim is None else check.formula_dim}{note}",
         "PASS" if check.passed else "FAIL",
     ]
     result = {

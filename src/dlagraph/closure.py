@@ -5,9 +5,13 @@ right-normed brackets [g1, [g2, ... [g_{k-1}, g_k]]] with every g_i in G, and
 each such bracket is a single Pauli string up to phase.  So the closure basis
 is the orbit of G under p -> g*p, taken only for the generators g that
 anticommute with p: the frustration-graph picture.  The engine walks that
-orbit level by level, one generator at a time over the whole frontier, and
-records for every derived string the (parent, generator) pair that produced
-it.  That costs d * |G| anticommutation tests for a basis of size d.
+orbit level by level, one blocked numpy pass per level over frontier x
+generators, each block at most about _BLOCK_PAIRS pairs, and records for
+every derived string the (parent, generator) pair that produced it.  Pairs
+are taken generator-major, frontier index within a generator, and a string
+met more than once keeps its first pair: the basis order is that of a loop
+over one generator at a time.  That costs d * |G| anticommutation tests for
+a basis of size d.
 
 Everything lives on phase-free packed keys (x_bits << n) | z_bits, so a
 product is a XOR of keys.  For n up to 13 a dense bytemap over all 4^n keys
@@ -33,7 +37,7 @@ from dlagraph.pauli import PauliString
 DEFAULT_LIMIT = 4**10
 
 _BYTEMAP_MAX_KEYS = 1 << 26
-# pairs tested per numpy pass in closed_under, so its temporaries stay small
+# pairs tested per numpy pass in the orbit and in closed_under, so temporaries stay small
 _BLOCK_PAIRS = 1 << 14
 # letter of one site, indexed by (x_bit << 1) | z_bit
 _LETTER_CODES = np.frombuffer(b"IZXY", dtype=np.uint8)
@@ -54,10 +58,12 @@ class ClosureLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ClosureStats:
-    """Work counters: elements expanded, and generator-element pairs tested."""
+    """Work counters: elements expanded, generator-element pairs tested, and
+    the breadth-first depth (levels of derived strings past the generators)."""
 
     pops: int
     pair_evaluations: int
+    levels: int = 0
 
 
 @dataclass(frozen=True)
@@ -137,42 +143,57 @@ def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> 
     if n > _KEY_MAX_QUBITS:
         raise ValueError(f"the closure engine handles at most {_KEY_MAX_QUBITS} qubits, got {n}")
     gens = np.asarray(list(dict.fromkeys(p.key for p in members)), dtype=np.int64)
-    keys, parents = _orbit(gens, n, limit)
+    keys, parents, levels = _orbit(gens, n, limit)
     if verify:
         _check_certificate(gens, keys, parents, n)
-    stats = ClosureStats(keys.size, keys.size * gens.size)
+    stats = ClosureStats(keys.size, keys.size * gens.size, levels)
     return ClosureResult(n, tuple(keys.tolist()), stats, parents)
 
 
-def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first orbit of the generator keys: (keys, parent pointers)."""
+def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Breadth-first orbit of the generator keys: (keys, parent pointers, levels)."""
     seen = _KeySet(gens, n)
     key_chunks = [gens]
     parent_chunks = []
-    frontier, start, size = gens, 0, gens.size
+    frontier, start, size, levels = gens, 0, gens.size, 0
     while frontier.size:
         level = []
-        for j, g in enumerate(gens):
-            idx = np.flatnonzero(anticommuting(frontier, g, n))
-            cand = frontier[idx] ^ g
+        step = max(1, _BLOCK_PAIRS // frontier.size)
+        for j in range(0, gens.size, step):
+            block = gens[j:j + step, None]
+            # flat pair indices run generator-major: the order of the tie-break
+            pairs = np.flatnonzero(anticommuting(frontier, block, n))
+            cand = (frontier ^ block).ravel()[pairs]
             new = ~seen.has(cand)
-            if not new.any():
+            pairs, cand = pairs[new], cand[new]
+            if not cand.size:
                 continue
-            level.append(cand[new])
-            seen.add(level[-1])
-            rows = np.empty((level[-1].size, 2), dtype=np.int32)
-            rows[:, 0] = idx[new] + start
-            rows[:, 1] = j
-            parent_chunks.append(rows)
-            size += level[-1].size
-            if size > limit:
-                raise ClosureLimitError(limit, size)
+            if block.size > 1:
+                # a key met under several generators keeps its first pair
+                by_key = np.argsort(cand, kind="stable")
+                first = np.ones(cand.size, dtype=bool)
+                first[by_key[1:]] = cand[by_key[1:]] != cand[by_key[:-1]]
+                pairs, cand = pairs[first], cand[first]
+            rows, idx = np.divmod(pairs, frontier.size)
+            level.append(cand)
+            seen.add(cand)
+            pointers = np.empty((cand.size, 2), dtype=np.int32)
+            pointers[:, 0] = idx + start
+            pointers[:, 1] = rows + j
+            parent_chunks.append(pointers)
+            if size + cand.size > limit:
+                # report the size after the generator row that crossed the limit
+                counts = np.bincount(rows, minlength=block.size)
+                sizes = size + np.cumsum(counts)
+                raise ClosureLimitError(limit, int(sizes[np.argmax((sizes > limit) & (counts > 0))]))
+            size += cand.size
         start += frontier.size
         frontier = np.concatenate(level) if level else gens[:0]
         key_chunks.append(frontier)
+        levels += bool(level)
     keys = np.concatenate(key_chunks)
     parents = np.concatenate(parent_chunks) if parent_chunks else np.zeros((0, 2), np.int32)
-    return keys, parents
+    return keys, parents, levels
 
 
 def _check_certificate(gens: np.ndarray, keys: np.ndarray, parents: np.ndarray, n: int):

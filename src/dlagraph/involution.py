@@ -80,10 +80,13 @@ def upper_bound_dim(label: str, l: int, m: int) -> int:
     This is the structure table's K_{l,m} column.  Valid as a statement about
     complete bipartite graphs once K_{l,m} has a vertex of degree > 2
     (max(l, m) >= 3); smaller shapes are out of hypothesis and the number is
-    only a conjecture to compare against.
+    only a conjecture to compare against.  K_{1,1}, a single edge, is refused:
+    the column would read su(1)^2 there.
     """
     if l < 1 or m < 1:
         raise ValueError("block sizes must be positive")
+    if l + m < 3:
+        raise ValueError("the K_{l,m} column needs l + m >= 3")
     if label not in ("a4", "a14"):
         raise ValueError(f"fixed-point bounds are recorded for a4 and a14, not {label!r}")
     return sum(s.dim for s in theorem_summands(label, NormalForm("complete_bipartite", (l, m))))
@@ -97,7 +100,7 @@ class CrossCheck:
     block: ClosureResult
     fixed: ClosureResult
     tight: bool  # the fixed keys are exactly the block keys
-    formula_dim: int
+    formula_dim: int | None  # None where upper_bound_dim has no number: K_{1,1}
     in_hypothesis: bool  # the table covers K_{l,m}, so the closed form must match
     passed: bool
 
@@ -107,7 +110,7 @@ def cross_check(label: str, l: int, m: int, whole: ClosureResult) -> CrossCheck:
     shape = complete_bipartite(l, m)
     block = lie_closure(place_on_graph(label, shape))
     fixed = fixed_subset(make_theta(l, m), whole)
-    formula = upper_bound_dim(label, l, m)
+    formula = upper_bound_dim(label, l, m) if l + m >= 3 else None
     in_hypothesis = normal_form(shape, label).kind == "complete_bipartite"
     tight = fixed.keys == block.keys
     passed = tight and (formula == fixed.dimension or not in_hypothesis)

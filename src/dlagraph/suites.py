@@ -179,7 +179,7 @@ def suite_involution(max_n: int = 6) -> list[CheckCase]:
                     f"{label} ({l},{n - l})",
                     check.passed,
                     f"K_{{l,m}} dim {check.block.dimension}, fixed {check.fixed.dimension}, "
-                    f"formula {check.formula_dim}{tag}",
+                    f"formula {'none' if check.formula_dim is None else check.formula_dim}{tag}",
                 ))
     return out
 

@@ -72,6 +72,14 @@ def test_close_limit_exit_4(capsys):
     assert "limit" in err
 
 
+def test_close_limit_reports_partial_size(capsys):
+    code, out, err = run_cli(
+        capsys, "close", "--graph", "K:5", "--algebra", "a22", "--limit", "100"
+    )
+    assert code == 4 and out == ""
+    assert err == "error: closure exceeded limit 100 (partial basis size 101)\n"
+
+
 @pytest.mark.parametrize("limit", ["-1", "0"])
 def test_close_nonpositive_limit_exit_2(capsys, limit):
     code, _, err = run_cli(
@@ -215,6 +223,18 @@ def test_involution_json(capsys):
     assert payload["block_dim"] == payload["fixed_dim"] == payload["formula_dim"] == 30
     assert payload["formula_applicable"] is True
     assert payload["match"] is True
+
+
+def test_involution_single_edge_has_no_closed_form(capsys):
+    code, out, _ = run_cli(capsys, "involution", "--l", "1", "--m", "1", "--algebra", "a4")
+    assert code == 0
+    assert "closed-form dim: none (outside table hypothesis, informational)" in out
+    code, out, _ = run_cli(
+        capsys, "involution", "--l", "1", "--m", "1", "--algebra", "a4", "--json"
+    )
+    payload = json.loads(out)
+    assert payload["block_dim"] == payload["fixed_dim"] == 2
+    assert payload["formula_dim"] is None and payload["match"] is True
 
 
 def test_verify_pass(capsys):

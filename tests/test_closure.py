@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from dlagraph import closure
-from dlagraph.catalog import LABELS, place_on_graph
+from dlagraph.catalog import ALTERNATIVES, LABELS, place_alternative, place_on_graph
 from dlagraph.closure import (
     ClosureLimitError,
     closed_under,
@@ -125,12 +126,23 @@ def test_closed_set_stays_put():
     assert r.strings()[0].letters() == "XX"
 
 
+# the size after the generator that first took the basis past the limit
+LIMIT_CASES = [
+    ("a2", sigma_graph(), 17, 19),
+    ("a14", sigma_graph(), 40, 43),
+    ("a6", omega_graph(), 100, 103),
+    ("a22", complete_graph(5), 100, 101),
+    ("a4", complete_bipartite(2, 3), 40, 42),
+    ("a7", complete_graph(6), 333, 339),
+]
+
+
 def test_limit_raises_with_partial_size():
-    gens = place_on_graph("a22", complete_graph(5))
-    with pytest.raises(ClosureLimitError) as info:
-        lie_closure(gens, limit=100)
-    assert info.value.partial_dimension > 100
-    assert info.value.limit == 100
+    for label, graph, limit, partial in LIMIT_CASES:
+        with pytest.raises(ClosureLimitError) as info:
+            lie_closure(place_on_graph(label, graph), limit=limit)
+        assert info.value.partial_dimension == partial, (label, limit)
+        assert info.value.limit == limit
 
 
 def test_identity_generator_rejected():
@@ -161,6 +173,16 @@ def test_stats_counted():
     r = lie_closure(gens)
     assert r.stats.pops == r.dimension
     assert r.stats.pair_evaluations == r.dimension * len(gens.members)
+
+
+def test_stats_count_levels():
+    assert lie_closure([parse_pauli("XY"), parse_pauli("YX")]).stats.levels == 0
+    # depth 1: YX from ZI by XX, XY from IZ by XX; depth 2: YY, met first
+    # from XY by ZI and again from YX by IZ; YY brings nothing new
+    r = lie_closure([parse_pauli(w) for w in ("XX", "ZI", "IZ")])
+    assert r.words() == ["XX", "ZI", "IZ", "YX", "XY", "YY"]
+    assert r.parents.tolist() == [[1, 0], [2, 0], [4, 1]]
+    assert r.stats.levels == 2
 
 
 def test_dimension_bound_property():
@@ -197,6 +219,40 @@ def test_n6_sample_matches_pairwise_oracle(index):
     assert_matches_oracles(enumerate_connected_graphs(6)[index])
 
 
+# sha256 of order + parents over every connected graph on 3-5 vertices times
+# the twelve labels and the recorded alternatives, as the one-generator-at-a-time
+# orbit produced them
+ORBIT_DIGEST_3_TO_5 = "a16f278527c61def4180d20b5d6672c5ea3407fbb838d171379545b46ff9469e"
+
+
+def small_graph_orbits():
+    for n in (3, 4, 5):
+        for graph in enumerate_connected_graphs(n):
+            for label in LABELS:
+                yield lie_closure(place_on_graph(label, graph))
+            for label in ALTERNATIVES:
+                yield lie_closure(place_alternative(label, graph))
+
+
+@pytest.mark.parametrize("bytemap_max_keys", [closure._BYTEMAP_MAX_KEYS, 0])
+def test_block_size_keeps_tie_break(monkeypatch, bytemap_max_keys):
+    # one generator row per block is the one-generator-at-a-time loop; wider
+    # blocks must keep its generator-major first-occurrence tie-break
+    monkeypatch.setattr(closure, "_BYTEMAP_MAX_KEYS", bytemap_max_keys)
+    ref = list(small_graph_orbits())
+    digest = hashlib.sha256()
+    for r in ref:
+        digest.update(np.asarray(r.order, dtype=np.int64).tobytes())
+        digest.update(np.asarray(r.parents, dtype=np.int32).tobytes())
+    assert digest.hexdigest() == ORBIT_DIGEST_3_TO_5
+    for block_pairs in (1, 1 << 30):
+        monkeypatch.setattr(closure, "_BLOCK_PAIRS", block_pairs)
+        for want, got in zip(ref, small_graph_orbits(), strict=True):
+            assert got.order == want.order
+            assert np.array_equal(got.parents, want.parents)
+            assert got.stats == want.stats
+
+
 def test_set_dedup_matches_bytemap(monkeypatch):
     gens = place_on_graph("a14", sigma_graph())
     ref = lie_closure(gens)
@@ -231,9 +287,12 @@ def closed_superset(keys, parents):
 def test_verify_rejects_broken_certificate(monkeypatch, edit, words):
     gens = [parse_pauli(w) for w in words] if words else place_on_graph("a2", omega_graph())
     orbit = closure._orbit
-    monkeypatch.setattr(
-        closure, "_orbit", lambda g, n, limit: edit(*(a.copy() for a in orbit(g, n, limit)))
-    )
+
+    def tampered(g, n, limit):
+        keys, parents, levels = orbit(g, n, limit)
+        return (*edit(keys.copy(), parents.copy()), levels)
+
+    monkeypatch.setattr(closure, "_orbit", tampered)
     broken = lie_closure(gens, verify=False)
     if edit is closed_superset:
         assert_bracket_closed(broken.order, 2)  # a closedness sweep alone accepts it
@@ -245,7 +304,7 @@ def test_certificate_rejects_repeated_string(monkeypatch):
     # a second pointer re-deriving the last string replays and keeps the set
     # closed; only the distinctness count can reject it, on either dedup path
     gens = np.asarray([p.key for p in place_on_graph("a2", omega_graph()).members])
-    keys, parents = closure._orbit(gens, 4, closure.DEFAULT_LIMIT)
+    keys, parents, _ = closure._orbit(gens, 4, closure.DEFAULT_LIMIT)
     repeated = np.append(keys, keys[-1]), np.vstack([parents, parents[-1:]])
     for bytemap_max_keys in (closure._BYTEMAP_MAX_KEYS, 0):
         monkeypatch.setattr(closure, "_BYTEMAP_MAX_KEYS", bytemap_max_keys)

@@ -69,12 +69,22 @@ def test_upper_bound_formula_values():
     assert upper_bound_dim("a14", 1, 2) == 15  # su(4)
     assert upper_bound_dim("a14", 2, 2) == 56  # so(8) x 2
     assert upper_bound_dim("a14", 1, 3) == 72  # sp(4) x 2
-    assert upper_bound_dim("a4", 1, 1) == 0    # su(1) is trivial: flagged shape
     assert upper_bound_dim("a4", 2, 2) == 24   # so(4) x 4
     assert upper_bound_dim("a4", 1, 3) == 30   # su(4) x 2
     assert upper_bound_dim("a4", 2, 3) == 120  # so(16)
     with pytest.raises(ValueError):
         upper_bound_dim("a2", 1, 2)
+
+
+@pytest.mark.parametrize("label", ["a4", "a14"])
+def test_upper_bound_refuses_single_edge(label):
+    # the column would read su(1)^2 = 0 for a4, while the K_{1,1} closure
+    # and its fixed points both have dimension 2
+    with pytest.raises(ValueError, match="l \\+ m >= 3"):
+        upper_bound_dim(label, 1, 1)
+    check = cross_check(label, 1, 1, lie_closure(place_on_graph(label, complete_graph(2))))
+    assert check.formula_dim is None
+    assert check.tight and check.passed and not check.in_hypothesis
 
 
 def test_generators_of_klm_are_fixed():
@@ -115,7 +125,8 @@ def test_cross_check_hypothesis_is_table_scope(label):
             check = cross_check(label, l, n - l, whole)
             assert check.in_hypothesis == (n >= 4 and max(l, n - l) >= 3), (l, n - l)
             assert check.tight and check.passed, (l, n - l)
-            assert check.formula_dim == upper_bound_dim(label, l, n - l)
+            if n >= 3:
+                assert check.formula_dim == upper_bound_dim(label, l, n - l)
 
 
 @pytest.mark.parametrize("lm", [(1, 2), (1, 3)])
