@@ -68,7 +68,6 @@ from dlagraph.pauli import (
     commutator,
     commutes,
     format_pauli,
-    max_qubits,
     multiply,
     parse_pauli,
     pauli_from_sites,
@@ -115,7 +114,6 @@ __all__ = [
     "lie_closure",
     "line_graph",
     "make_theta",
-    "max_qubits",
     "member_via_frustration",
     "multiply",
     "normal_form",

@@ -56,7 +56,8 @@ or JSON {"n": ..., "edges": [[u, v], ...]}) or an inline spec:
   Sigma      the 5-vertex branched tree 0-1, 1-2, 1-4, 2-3
   Omega      the 4-vertex diamond 0-1, 1-2, 1-3, 2-3
 
-environment: DLA_MAX_N overrides the default 16-qubit cap.
+Pauli strings are at most 31 qubits wide, the widest whose packed key fits
+a 64-bit integer; wider graphs and targets exit 2.
 
 exit codes: 0 success, 1 verification failure, 2 bad input,
 3 out of scope (rerun with --oracle), 4 resource cap hit.

@@ -41,8 +41,7 @@ _BYTEMAP_MAX_KEYS = 1 << 26
 _BLOCK_PAIRS = 1 << 14
 # letter of one site, indexed by (x_bit << 1) | z_bit
 _LETTER_CODES = np.frombuffer(b"IZXY", dtype=np.uint8)
-# packed keys (x_bits << n) | z_bits are stored as int64: 2n <= 62 bits
-_KEY_MAX_QUBITS = 31
+# packed keys (x_bits << n) | z_bits are stored as int64: pauli.MAX_QUBITS keeps 2n <= 62 bits
 
 
 class ClosureLimitError(RuntimeError):
@@ -140,8 +139,6 @@ def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> 
         raise ValueError(f"limit must be positive, got {limit}")
     members = generator_members(generators)
     n = members[0].n
-    if n > _KEY_MAX_QUBITS:
-        raise ValueError(f"the closure engine handles at most {_KEY_MAX_QUBITS} qubits, got {n}")
     gens = np.asarray(list(dict.fromkeys(p.key for p in members)), dtype=np.int64)
     keys, parents, levels = _orbit(gens, n, limit)
     if verify:

@@ -11,30 +11,15 @@ integer bit arithmetic; dense matrices never appear.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-DEFAULT_MAX_QUBITS = 16
-MAX_QUBITS_ENV = "DLA_MAX_N"
+# widest string: the packed key (x_bits << n) | z_bits must fit an int64, 2n <= 62 bits
+MAX_QUBITS = 31
 
 _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS_FOR_LETTER = {v: k for k, v in _LETTER_FOR_BITS.items()}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
-
-
-def max_qubits() -> int:
-    """Qubit cap for new strings; DLA_MAX_N in the environment overrides 16."""
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if raw is None:
-        return DEFAULT_MAX_QUBITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_QUBITS_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{MAX_QUBITS_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -53,8 +38,8 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one site, got n={self.n}")
-        if self.n > max_qubits():
-            raise ValueError(f"n={self.n} exceeds qubit cap {max_qubits()}")
+        if self.n > MAX_QUBITS:
+            raise ValueError(f"n={self.n} exceeds qubit cap {MAX_QUBITS}")
         mask = (1 << self.n) - 1
         if not (0 <= self.x_bits <= mask and 0 <= self.z_bits <= mask):
             raise ValueError("x_bits/z_bits out of range for n sites")

@@ -29,7 +29,6 @@ from dlagraph.pauli import (
     PauliString,
     commutator,
     commutes,
-    max_qubits,
     multiply,
     parse_pauli,
     quarter_congruence,
@@ -56,8 +55,7 @@ _FULL_CLOSURE_MAX_N = ((DEFAULT_LIMIT + 1).bit_length() - 1) // 2
 
 def _check_size(suite: str, name: str, value: int, low: int, high: int) -> None:
     """Reject, before any work, a size bound that selects no case or that the
-    suite cannot run up to (graph enumeration, qubit cap, closure limit)."""
-    high = min(high, max_qubits())
+    suite cannot run up to (graph enumeration, closure limit)."""
     if not low <= value <= high:
         raise ValueError(f"{suite} needs {low} <= {name} <= {high}, got {value}")
 

@@ -305,13 +305,6 @@ def test_verify_theorem1_bound_admits_seven(capsys, monkeypatch):
     assert "suite theorem1: 0/0 passed" in out
 
 
-def test_verify_bound_follows_qubit_cap(capsys, monkeypatch):
-    monkeypatch.setenv("DLA_MAX_N", "4")
-    code, _, err = run_cli(capsys, "verify", "appendixB", "--max-n", "5")
-    assert code == 2
-    assert "3 <= max_n <= 4" in err
-
-
 def test_bad_algebra_exit_2():
     with pytest.raises(SystemExit) as wrapped:
         cli.main(["classify", "--graph", "K:3", "--algebra", "a99"])
@@ -374,33 +367,39 @@ def test_graph_file_json(tmp_path, capsys):
     assert json.loads(out)["dim"] == 56
 
 
-def test_qubit_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("DLA_MAX_N", "4")
-    code, _, err = run_cli(capsys, "close", "--graph", "K:5", "--algebra", "b3")
-    assert code == 2
-    assert "qubit cap" in err
-    monkeypatch.setenv("DLA_MAX_N", "5")
-    code, out, _ = run_cli(capsys, "close", "--graph", "K:5", "--algebra", "b3")
-    assert code == 0
-    assert "dim: 15" in out
-
-
-def test_close_above_key_width_exit_2(capsys, monkeypatch):
+def test_close_above_key_width_exit_2(capsys):
     # packed int64 keys hold at most 31 qubits
-    monkeypatch.setenv("DLA_MAX_N", "40")
     code, _, err = run_cli(capsys, "close", "--graph", "L:33", "--algebra", "a0")
     assert code == 2
-    assert "at most 31 qubits" in err
+    assert "exceeds qubit cap 31" in err
 
 
-def test_wide_cap_leaves_other_commands_working(capsys, monkeypatch):
-    monkeypatch.setenv("DLA_MAX_N", "40")
-    code, out, _ = run_cli(capsys, "classify", "--graph", "K:3", "--algebra", "a2")
+@pytest.mark.parametrize("argv", [
+    ("close", "--graph", "L:32", "--algebra", "a2"),
+    ("frustration", "build", "--graph", "L:32", "--algebra", "a2"),
+    ("frustration", "member", "--graph", "L:4", "--algebra", "a2", "--target", "X" * 32),
+    ("involution", "--l", "16", "--m", "16", "--algebra", "a14"),
+], ids=["close", "frustration-build", "frustration-target", "involution"])
+def test_one_past_the_qubit_cap_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "qubit cap" in err
+
+
+def test_widest_strings_need_no_environment(capsys):
+    code, out, _ = run_cli(capsys, "close", "--graph", "C:31", "--algebra", "a14", "--json")
     assert code == 0
-    assert "dim: 12" in out
-    code, out, _ = run_cli(capsys, "frustration", "build", "--graph", "L:33", "--algebra", "a0")
+    assert json.loads(out)["dim"] == 3782  # 2n(2n - 1) at n = 31
+    code, out, _ = run_cli(capsys, "frustration", "build", "--graph", "L:31", "--algebra", "a0")
     assert code == 0
-    assert "generators: 32 on 33 sites" in out
+    assert "generators: 30 on 31 sites" in out
+
+
+def test_classify_builds_no_strings(capsys):
+    # the tables need no Pauli string, so the qubit cap does not apply
+    code, out, _ = run_cli(capsys, "classify", "--graph", "K:99", "--algebra", "a2")
+    assert code == 0
+    assert "dim:" in out
 
 
 def test_json_byte_determinism():

@@ -17,6 +17,7 @@ from dlagraph.graphs import (
     build_graph,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     enumerate_connected_graphs,
     line_graph,
     omega_graph,
@@ -42,6 +43,26 @@ FROZEN_DIMS = [
 @pytest.mark.parametrize("label,graph,expected", FROZEN_DIMS)
 def test_frozen_dimensions(label, graph, expected):
     assert lie_closure(place_on_graph(label, graph)).dimension == expected
+
+
+# polynomial closures on lines and cycles, the 1-D case (Wiersema et al.,
+# arXiv:2309.05690); (line, cycle) dimensions for n sites
+ONE_D_CLOSED_FORMS = {
+    "a2": lambda n: (n * (n - 1), 2 * n * (n - 1)),
+    "a4": lambda n: (n * (n - 1), n * (2 * n - 1) if n % 2 else 2 * n * (n - 1)),
+    "a14": lambda n: (n * (2 * n - 1), 2 * n * (2 * n - 1)),
+}
+
+
+@pytest.mark.parametrize("n", [*range(3, 11), 17, 24, 31])
+def test_one_dimensional_closed_forms(n):
+    # up to the 31-qubit key width
+    got = {
+        label: tuple(lie_closure(place_on_graph(label, g)).dimension
+                     for g in (line_graph(n), cycle_graph(n)))
+        for label in ONE_D_CLOSED_FORMS
+    }
+    assert got == {label: dims(n) for label, dims in ONE_D_CLOSED_FORMS.items()}
 
 
 def test_engine_matches_dense_oracle_small_cases():
@@ -154,10 +175,9 @@ def test_identity_generator_rejected():
         lie_closure([parse_pauli("X"), parse_pauli("XX")])
 
 
-def test_key_width_bounds_site_count(monkeypatch):
-    monkeypatch.setenv("DLA_MAX_N", "32")
+def test_key_width_bounds_site_count():
     assert lie_closure([parse_pauli("X" * 31)]).dimension == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit cap"):
         lie_closure([parse_pauli("X" * 32)])
 
 
@@ -354,7 +374,6 @@ def test_words_match_strings(graph):
 
 
 @pytest.mark.parametrize("label", ["a0", "a2"])
-def test_words_on_twenty_sites(monkeypatch, label):
-    monkeypatch.setenv("DLA_MAX_N", "20")
+def test_words_on_twenty_sites(label):
     r = lie_closure(place_on_graph(label, line_graph(20)))
     assert r.words() == [p.letters() for p in r.strings()]

@@ -62,17 +62,11 @@ def test_parse_rejects_garbage():
 
 
 def test_qubit_cap_default():
-    parse_pauli("I" * 15 + "X")
-    with pytest.raises(ValueError):
-        parse_pauli("I" * 16 + "X")
-
-
-def test_qubit_cap_env_override(monkeypatch):
-    monkeypatch.setenv("DLA_MAX_N", "18")
-    parse_pauli("I" * 17 + "X")
-    monkeypatch.setenv("DLA_MAX_N", "3")
-    with pytest.raises(ValueError):
-        parse_pauli("XXXX")
+    # packed keys (x_bits << n) | z_bits fit an int64 up to 31 qubits
+    p = parse_pauli("I" * 30 + "X")
+    assert p.n == 31 and p.key == 1 << 61
+    with pytest.raises(ValueError, match="qubit cap 31"):
+        parse_pauli("I" * 31 + "X")
 
 
 def test_pauli_from_sites():
