@@ -1,9 +1,10 @@
 """Structure prediction: which direct sum of simple algebras a placement closes to.
 
-A connected graph first reduces to its normal form (``normal_form``): K_n for
-a complete graph with n >= 3 and, under a7/a16/a20/a22, for every connected
-graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex has degree
-> 2.  One table (``_TABLE``) is then read by normal form:
+``classify`` takes every graph per component and merges the parts.  Each
+component reduces to its normal form (``normal_form``, the one reduction):
+K_n for a complete graph with n >= 3 and, under a7/a16/a20/a22, for every
+connected graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex
+has degree > 2.  One table (``_TABLE``) is then read by normal form:
 ``theorem_summands(label, nf)`` takes K_n's column from n and K_{l,m}'s from
 (l, m), and refuses a form with no column.  Lines and cycles are out of scope
 only for a2/a4/a6/a14: the classifier refuses to guess and the caller can fall
@@ -101,17 +102,27 @@ class NormalForm:
 def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     """Equivalence-class normal form of a connected graph for an a-type label.
 
+    This is the one reduction: ``classify`` calls it on each component.
     Complete graphs come first: K_n with n >= 3 is its own normal form.
     Labels a7/a16/a20/a22 reduce any connected graph with n >= 3 to K_n.
     Labels a2/a4/a6/a14 need a vertex of degree > 2 and then reduce to K_n
     (non-bipartite) or K_{l,m} (bipartite); their lines and cycles stay
     ``line_or_cycle``.  A disconnected graph raises ValueError: it has no
-    single normal form, and ``classify`` reduces it per component.
+    single normal form.
     """
     if not is_connected(g):
         raise ValueError("normal_form needs a connected graph")
+    row = _row(label)
+    if g.n < 3:
+        return NormalForm("too_small", (g.n,))
+    if is_complete(g) or len(row) == 2:
+        return NormalForm("complete", (g.n,))
+    if max_degree(g) <= 2:
+        return NormalForm("line_or_cycle", (g.n,))
     bip = bipartition(g)
-    return _reduce(g, label, bip.sizes if bip else None)
+    if bip is None:
+        return NormalForm("complete", (g.n,))
+    return NormalForm("complete_bipartite", bip.sizes)
 
 
 def _row(label: str) -> tuple:
@@ -120,20 +131,6 @@ def _row(label: str) -> tuple:
     if row is None:
         raise ValueError(f"no reduction theory for {label}")
     return row
-
-
-def _reduce(g: InteractionGraph, label: str, bip_sizes) -> NormalForm:
-    # normal_form given the bipartition sizes, which classify needs anyway
-    row = _row(label)
-    if g.n < 3:
-        return NormalForm("too_small", (g.n,))
-    if is_complete(g) or len(row) == 2:
-        return NormalForm("complete", (g.n,))
-    if max_degree(g) <= 2:
-        return NormalForm("line_or_cycle", (g.n,))
-    if bip_sizes is None:
-        return NormalForm("complete", (g.n,))
-    return NormalForm("complete_bipartite", bip_sizes)
 
 
 def theorem_summands(label: str, nf: NormalForm) -> tuple[Summand, ...]:
@@ -169,56 +166,53 @@ def _merge(summands) -> tuple[Summand, ...]:
     )
 
 
-def _finish(summands, scope, bip) -> Classification:
-    summands = _merge(summands)
-    total = sum(s.dim for s in summands)
-    return Classification(summands, total, scope, bip)
-
-
 def _classify_connected(g: InteractionGraph, label: str, oracle: bool) -> Classification:
+    # bipartite is left None here: classify fills it in for the whole graph
     n, e = g.n, g.edge_count
-    bip = bipartition(g)
-    bip_sizes = bip.sizes if bip else None
+    scope = SCOPE_THEOREM
     if label == "a0":
-        return _finish([Summand("u1", 1, e)] if e else [], SCOPE_THEOREM, bip_sizes)
-    if label == "b0":
-        return _finish([Summand("u1", 1, n)], SCOPE_THEOREM, bip_sizes)
-    if label == "b1":
-        return _finish([Summand("u1", 1, n + e)], SCOPE_THEOREM, bip_sizes)
-    if label == "b3":
-        return _finish([Summand("su", 2, n)], SCOPE_THEOREM, bip_sizes)
-    # a-type with k > 0
-    if e == 0:
+        summands = (Summand("u1", 1, e),) if e else ()
+    elif label == "b0":
+        summands = (Summand("u1", 1, n),)
+    elif label == "b1":
+        summands = (Summand("u1", 1, n + e),)
+    elif label == "b3":
+        summands = (Summand("su", 2, n),)
+    elif e == 0:
         # an isolated vertex carries no 2-local interaction at all
-        return _finish([], SCOPE_THEOREM, bip_sizes)
-    nf = _reduce(g, label, bip_sizes)
-    if nf.kind in ("complete", "complete_bipartite"):
+        summands = ()
+    else:
+        nf = normal_form(g, label)
+        if nf.kind not in ("complete", "complete_bipartite"):
+            if oracle:
+                dim = lie_closure(place_on_graph(label, g)).dimension
+                return Classification((), dim, SCOPE_ORACLE)
+            return Classification((), 0, SCOPE_OUT)
+        summands = theorem_summands(label, nf)
         scope = SCOPE_COMPLETE if is_complete(g) else SCOPE_THEOREM
-        return _finish(theorem_summands(label, nf), scope, bip_sizes)
-    if oracle:
-        dim = lie_closure(place_on_graph(label, g)).dimension
-        return Classification((), dim, SCOPE_ORACLE, bip_sizes)
-    return Classification((), 0, SCOPE_OUT, bip_sizes)
+    return Classification(summands, sum(s.dim for s in summands), scope)
 
 
 def classify(g: InteractionGraph, label: str, oracle: bool = False) -> Classification:
     """Predict the closure structure of the labeled placement on g.
 
-    Disconnected graphs classify per component and merge (scope DirectSum).
-    Components whose normal form is ``line_or_cycle`` or ``too_small`` yield
-    OutOfScope unless ``oracle`` is set, in which case the closure engine
-    supplies the dimension with the family left unidentified.
+    Every graph is classified per component.  One component keeps its own
+    scope; several merge as OutOfScope if any part is, else OracleFallback
+    if any part is, else DirectSum.  A component whose normal form is
+    ``line_or_cycle`` or ``too_small`` is OutOfScope unless ``oracle`` is
+    set; then the closure engine supplies its dimension, family unidentified.
     """
     check_label(label)
-    comps = connected_components(g)
-    if len(comps) == 1:
-        return _classify_connected(g, label, oracle)
-    whole_bip = bipartition(g)
-    whole_sizes = whole_bip.sizes if whole_bip else None
-    parts = [_classify_connected(subgraph(g, comp), label, oracle) for comp in comps]
-    if any(p.scope == SCOPE_OUT for p in parts):
-        return Classification((), 0, SCOPE_OUT, whole_sizes)
-    scope = SCOPE_ORACLE if any(p.scope == SCOPE_ORACLE for p in parts) else SCOPE_DIRECT_SUM
+    parts = [_classify_connected(subgraph(g, comp), label, oracle)
+             for comp in connected_components(g)]
+    bip = bipartition(g)
+    sizes = bip.sizes if bip else None
+    scopes = [p.scope for p in parts]
+    if SCOPE_OUT in scopes:
+        return Classification((), 0, SCOPE_OUT, sizes)
+    if len(parts) == 1:
+        scope = scopes[0]
+    else:
+        scope = SCOPE_ORACLE if SCOPE_ORACLE in scopes else SCOPE_DIRECT_SUM
     merged = _merge(s for p in parts for s in p.summands)
-    total = sum(p.total_dim for p in parts)
-    return Classification(merged, total, scope, whole_sizes)
+    return Classification(merged, sum(p.total_dim for p in parts), scope, sizes)

@@ -36,7 +36,7 @@ from dlagraph.graphs import (
     is_connected,
     parse_graph,
 )
-from dlagraph.involution import cross_check
+from dlagraph.involution import cross_check, make_theta
 from dlagraph.pauli import format_pauli, parse_pauli
 from dlagraph.suites import SUITES
 
@@ -187,6 +187,7 @@ def _cmd_frustration_member(args) -> tuple[dict, list[str], int]:
 
 def _cmd_involution(args) -> tuple[dict, list[str], int]:
     l, m, label = args.l, args.m, args.algebra
+    make_theta(l, m)  # refuses bad or over-cap block sizes before K_{l+m} is built
     check = cross_check(label, l, m, lie_closure(place_on_graph(label, complete_graph(l + m))))
     note = "" if check.in_hypothesis else " (outside table hypothesis, informational)"
     lines = [

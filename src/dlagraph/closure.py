@@ -32,15 +32,15 @@ from functools import cached_property
 import numpy as np
 
 from dlagraph.catalog import generator_members
-from dlagraph.pauli import PauliString
+from dlagraph.pauli import _SITE_LETTERS, PauliString
 
 DEFAULT_LIMIT = 4**10
 
 _BYTEMAP_MAX_KEYS = 1 << 26
 # pairs tested per numpy pass in the orbit and in closed_under, so temporaries stay small
 _BLOCK_PAIRS = 1 << 14
-# letter of one site, indexed by (x_bit << 1) | z_bit
-_LETTER_CODES = np.frombuffer(b"IZXY", dtype=np.uint8)
+# pauli's site letters as bytes, indexed by (x_bit << 1) | z_bit
+_LETTER_CODES = np.frombuffer(_SITE_LETTERS.encode("ascii"), dtype=np.uint8)
 # packed keys (x_bits << n) | z_bits are stored as int64: pauli.MAX_QUBITS keeps 2n <= 62 bits
 
 

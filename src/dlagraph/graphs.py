@@ -91,6 +91,8 @@ def is_connected(g: InteractionGraph) -> bool:
 def subgraph(g: InteractionGraph, vertices) -> InteractionGraph:
     """Induced subgraph with vertices relabeled 0..k-1 in sorted order."""
     verts = sorted(set(vertices))
+    if len(verts) == g.n and verts[0] == 0 and verts[-1] == g.n - 1:
+        return g  # the whole vertex set, already labeled 0..n-1
     index = {v: i for i, v in enumerate(verts)}
     edges = [
         (index[u], index[v])
@@ -210,7 +212,8 @@ def parse_graph_json(text: str) -> InteractionGraph:
     """JSON format: {"n": 5, "edges": [[0,1], [1,2]]}."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.loads recurses once per nesting level, so deep input overflows the stack
         raise ValueError(f"bad graph JSON: {exc}") from exc
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON needs keys 'n' and 'edges'")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 # widest string: the packed key (x_bits << n) | z_bits must fit an int64, 2n <= 62 bits
 MAX_QUBITS = 31
 
-_LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_BITS_FOR_LETTER = {v: k for k, v in _LETTER_FOR_BITS.items()}
+_SITE_LETTERS = "IZXY"  # the letter of a site with bits (x, z) is at (x << 1) | z
+_BITS_FOR_LETTER = {letter: (code >> 1, code & 1) for code, letter in enumerate(_SITE_LETTERS)}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PREFIX_PHASE = {"": 0, "+": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
@@ -64,10 +64,11 @@ class PauliString:
     def letter(self, site: int) -> str:
         if not 0 <= site < self.n:
             raise IndexError(f"site {site} out of range for n={self.n}")
-        return _LETTER_FOR_BITS[(self.x_bits >> site) & 1, (self.z_bits >> site) & 1]
+        return _SITE_LETTERS[((self.x_bits >> site) & 1) << 1 | ((self.z_bits >> site) & 1)]
 
     def letters(self) -> str:
-        return "".join(self.letter(i) for i in range(self.n))
+        x, z = self.x_bits, self.z_bits
+        return "".join(_SITE_LETTERS[((x >> i) & 1) << 1 | ((z >> i) & 1)] for i in range(self.n))
 
     def same_letters(self, other: "PauliString") -> bool:
         """Canonical (phase-free) equality."""
@@ -90,10 +91,9 @@ def pauli_from_sites(n: int, assignments) -> PauliString:
     >>> pauli_from_sites(3, [(0, "X"), (2, "Y")]).letters()
     'XIY'
     """
-    items = assignments.items() if isinstance(assignments, dict) else assignments
     x = z = 0
     taken = 0
-    for site, letter in items:
+    for site, letter in assignments:
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
         if taken & (1 << site):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from dlagraph.catalog import LABELS, place_on_graph
@@ -17,10 +20,12 @@ from dlagraph.classify import (
 )
 from dlagraph.closure import lie_closure
 from dlagraph.graphs import (
+    bipartition,
     build_graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_connected,
     line_graph,
     omega_graph,
     sigma_graph,
@@ -170,6 +175,35 @@ def test_b_rows_merge_across_components():
     c = classify(g, "b3")
     assert c.summands == (Summand("su", 2, 5),)
     assert c.scope == SCOPE_DIRECT_SUM
+
+
+def _random_disconnected_graphs(seed, draws):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        n = rng.randint(2, 8)
+        pairs = list(itertools.combinations(range(n), 2))
+        g = build_graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        if not is_connected(g):
+            out.append(g)
+    return out
+
+
+def test_merge_against_engine_on_random_disconnected_graphs():
+    # the per-component merge must reproduce the closure of the whole placement
+    graphs = _random_disconnected_graphs(23, 150)
+    assert len(graphs) > 50
+    for g in graphs:
+        bip = bipartition(g)
+        for label in LABELS:
+            c = classify(g, label, oracle=True)
+            # an a-type placement needs an edge: an edgeless graph closes to nothing
+            engine = (
+                lie_closure(place_on_graph(label, g)).dimension
+                if g.edges or label.startswith("b") else 0
+            )
+            assert c.total_dim == engine, (label, g)
+            assert c.bipartite == (bip.sizes if bip else None), (label, g)
 
 
 def test_full_theorem_table_against_engine_n4():

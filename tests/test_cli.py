@@ -237,6 +237,16 @@ def test_involution_single_edge_has_no_closed_form(capsys):
     assert payload["formula_dim"] is None and payload["match"] is True
 
 
+def test_involution_over_cap_refused_before_building(capsys, monkeypatch):
+    def no_build(n):
+        raise AssertionError("K_{l+m} built past the qubit cap")
+
+    monkeypatch.setattr(cli, "complete_graph", no_build)
+    code, _, err = run_cli(capsys, "involution", "--l", "16", "--m", "16", "--algebra", "a4")
+    assert code == 2
+    assert "qubit cap" in err
+
+
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "pauli", "--cases", "200", "--seed", "5")
     assert code == 0
@@ -343,6 +353,16 @@ def test_malformed_graph_json_exit_2(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_deeply_nested_graph_json_exit_2(tmp_path, capsys):
+    # json.loads recurses per level: 10,000 levels overflow the stack
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 3, "edges": ' + "[" * 10_000 + "]" * 10_000 + "}")
+    code, out, err = run_cli(capsys, "classify", "--graph", str(path), "--algebra", "a2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, line", [

@@ -71,7 +71,7 @@ def test_qubit_cap_default():
 
 def test_pauli_from_sites():
     assert pauli_from_sites(3, [(0, "X"), (2, "Y")]).letters() == "XIY"
-    assert pauli_from_sites(2, {1: "Z"}).letters() == "IZ"
+    assert pauli_from_sites(2, [(1, "Z")]).letters() == "IZ"
     with pytest.raises(ValueError):
         pauli_from_sites(2, [(0, "X"), (0, "Y")])
     with pytest.raises(ValueError):
