@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from dlagraph.graphs import InteractionGraph
-from dlagraph.pauli import PauliString, pauli_from_sites
+from dlagraph.pauli import _BITS_FOR_LETTER, PauliString, pauli_from_sites
 
 LABELS = ("a0", "a2", "a4", "a6", "a7", "a14", "a16", "a20", "a22", "b0", "b1", "b3")
 
@@ -84,24 +84,36 @@ def generator_members(generators) -> tuple[PauliString, ...]:
     return members
 
 
+def _site_key(letter: str, n: int) -> int:
+    """The letter's bits in a packed n-site key at site 0; -1 for a non-Pauli letter.
+
+    A key with a -1 part is negative, so it is never admitted before
+    pauli_from_sites has refused its letter.
+    """
+    bits = _BITS_FOR_LETTER.get(letter)
+    return -1 if bits is None else (bits[0] << n) | bits[1]
+
+
 def place_templates(templates: TemplateSet, graph: InteractionGraph) -> tuple[PauliString, ...]:
     """Stamp a template set onto a graph; edge block first, then vertex block."""
     n = graph.n
     members: list[PauliString] = []
     seen: set[int] = set()
 
-    def admit(p: PauliString):
-        if p.key not in seen:
-            seen.add(p.key)
-            members.append(p)
+    def admit(key: int, sites):
+        # the packed key comes first, so a string stamped twice is built and checked once
+        if key not in seen:
+            seen.add(key)
+            members.append(pauli_from_sites(n, sites))
 
+    two = [(t[0], t[1], _site_key(t[0], n), _site_key(t[1], n)) for t in templates.two_local]
     for (i, j) in graph.edges:
-        for t in templates.two_local:
-            admit(pauli_from_sites(n, [(i, t[0]), (j, t[1])]))
-            admit(pauli_from_sites(n, [(j, t[0]), (i, t[1])]))
+        for a, b, ka, kb in two:
+            admit((ka << i) | (kb << j), ((i, a), (j, b)))
+            admit((ka << j) | (kb << i), ((j, a), (i, b)))
     for v in range(n):
         for letter in templates.one_local:
-            admit(pauli_from_sites(n, [(v, letter)]))
+            admit(_site_key(letter, n) << v, ((v, letter),))
     return tuple(members)
 
 

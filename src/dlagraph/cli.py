@@ -35,9 +35,10 @@ from dlagraph.graphs import (
     graph_from_spec,
     is_connected,
     parse_graph,
+    spec_vertex_count,
 )
 from dlagraph.involution import cross_check, make_theta
-from dlagraph.pauli import format_pauli, parse_pauli
+from dlagraph.pauli import check_qubits, format_pauli, parse_pauli
 from dlagraph.suites import SUITES
 
 EXIT_OK = 0
@@ -76,6 +77,9 @@ def _load_graph(spec: str) -> InteractionGraph:
 
 
 def _generators(args):
+    if not os.path.exists(args.graph):
+        # refuse a spec past the qubit cap before its edge list is built
+        check_qubits(spec_vertex_count(args.graph))
     graph = _load_graph(args.graph)
     if getattr(args, "alt", False):
         return place_alternative(args.algebra, graph)

@@ -11,7 +11,12 @@ every derived string the (parent, generator) pair that produced it.  Pairs
 are taken generator-major, frontier index within a generator, and a string
 met more than once keeps its first pair: the basis order is that of a loop
 over one generator at a time.  That costs d * |G| anticommutation tests for
-a basis of size d.
+a basis of size d, each the parity of a basis key AND a generator key with
+its x and z halves swapped; the generator keys are swapped once per closure.
+The first pair of each new key is found by a stable sort of the block's
+keys, run as a least-significant-first radix over 16-bit digits (one pass up
+to n = 8, ceil(2n / 16) beyond), which numpy sorts without comparisons.
+Being stable, it keeps the tie-break of a stable comparison sort.
 
 Everything lives on phase-free packed keys (x_bits << n) | z_bits, so a
 product is a XOR of keys.  For n up to 13 a dense bytemap over all 4^n keys
@@ -116,9 +121,32 @@ def anticommuting(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     With a = (x1, z1) and b = (x2, z2), the symplectic form x1.z2 + z1.x2 is
     the popcount of a AND (b with its halves swapped).
     """
-    mask = (1 << n) - 1
-    swapped = ((b & mask) << n) | (b >> n)
-    return (np.bitwise_count(a & swapped) & 1).astype(bool)
+    return _odd_overlap(a, _swap_halves(b, n))
+
+
+def _swap_halves(keys: np.ndarray, n: int) -> np.ndarray:
+    """Packed keys with their halves swapped, (z_bits << n) | x_bits."""
+    return ((keys & ((1 << n) - 1)) << n) | (keys >> n)
+
+
+def _odd_overlap(a: np.ndarray, swapped: np.ndarray) -> np.ndarray:
+    """Anticommutation of keys a and b, given ``swapped = _swap_halves(b, n)``."""
+    # a bool view, not a uint8 mask: flatnonzero takes its fast path only on bool
+    return (np.bitwise_count(a & swapped) & 1).view(bool)
+
+
+def _stable_order(keys: np.ndarray, n: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for packed n-site keys, by 16-bit digits.
+
+    Stable argsorts of uint16 digits, least significant first, are radix
+    sorts in numpy: one pass for n <= 8 and ceil(2n / 16) passes up to 31 qubits.
+    The cast to uint16 keeps the low 16 bits, the digit.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, 2 * n, 16):
+        digits = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
 
 
 def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> ClosureResult:
@@ -150,6 +178,7 @@ def lie_closure(generators, limit: int = DEFAULT_LIMIT, verify: bool = True) -> 
 def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Breadth-first orbit of the generator keys: (keys, parent pointers, levels)."""
     seen = _KeySet(gens, n)
+    swapped = _swap_halves(gens, n)
     key_chunks = [gens]
     parent_chunks = []
     frontier, start, size, levels = gens, 0, gens.size, 0
@@ -159,7 +188,7 @@ def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray
         for j in range(0, gens.size, step):
             block = gens[j:j + step, None]
             # flat pair indices run generator-major: the order of the tie-break
-            pairs = np.flatnonzero(anticommuting(frontier, block, n))
+            pairs = np.flatnonzero(_odd_overlap(frontier, swapped[j:j + step, None]))
             cand = (frontier ^ block).ravel()[pairs]
             new = ~seen.has(cand)
             pairs, cand = pairs[new], cand[new]
@@ -167,7 +196,7 @@ def _orbit(gens: np.ndarray, n: int, limit: int) -> tuple[np.ndarray, np.ndarray
                 continue
             if block.size > 1:
                 # a key met under several generators keeps its first pair
-                by_key = np.argsort(cand, kind="stable")
+                by_key = _stable_order(cand, n)
                 first = np.ones(cand.size, dtype=bool)
                 first[by_key[1:]] = cand[by_key[1:]] != cand[by_key[:-1]]
                 pairs, cand = pairs[first], cand[first]
@@ -229,11 +258,12 @@ def closed_under(keys: np.ndarray, by: np.ndarray, n: int) -> bool:
 def _closed(member: _KeySet, keys: np.ndarray, by: np.ndarray, n: int) -> bool:
     # one pass per block of ``by``, at most about _BLOCK_PAIRS (b, k) pairs each
     unordered = by is keys
+    swapped = _swap_halves(by, n)
     step = max(1, _BLOCK_PAIRS // max(keys.size, 1))
     for i in range(0, by.size, step):
         block = by[i:i + step, None]
         cols = keys[i + 1:] if unordered else keys
-        hit = anticommuting(cols, block, n)
+        hit = _odd_overlap(cols, swapped[i:i + step, None])
         if unordered:
             # row i + r meets column i + 1 + c, a later key when c >= r
             hit &= np.arange(cols.size) >= np.arange(block.shape[0])[:, None]

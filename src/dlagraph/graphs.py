@@ -67,18 +67,20 @@ def _adjacency_sets(g: InteractionGraph):
 def connected_components(g: InteractionGraph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
     adj = _adjacency_sets(g)
-    unseen = set(range(g.n))
+    seen = [False] * g.n
     out = []
-    while unseen:
-        root = min(unseen)
-        stack, comp = [root], {root}
-        unseen.discard(root)
+    # roots in vertex order: each unseen root is its component's smallest vertex
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack, comp = [root], [root]
         while stack:
             v = stack.pop()
             for w in adj[v]:
-                if w in unseen:
-                    unseen.discard(w)
-                    comp.add(w)
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
                     stack.append(w)
         out.append(tuple(sorted(comp)))
     return out
@@ -235,29 +237,42 @@ def parse_graph(text: str) -> InteractionGraph:
 
 
 _SHORTCUTS = {"sigma": sigma_graph, "omega": omega_graph}
+# inline spec heads: constructor and argument count; each declares sum(args) vertices
+_SPEC_FORMS = {"K": (complete_graph, 1), "Kb": (complete_bipartite, 2),
+               "L": (line_graph, 1), "C": (cycle_graph, 1)}
+
+
+def _parse_spec(spec: str):
+    """(constructor, integer arguments) of an inline spec; ValueError on a bad one."""
+    s = spec.strip()
+    if s.lower() in _SHORTCUTS:
+        return _SHORTCUTS[s.lower()], ()
+    head, colon, tail = s.partition(":")
+    if colon and head in _SPEC_FORMS:
+        build, arity = _SPEC_FORMS[head]
+        try:
+            args = tuple(int(p) for p in tail.split(","))
+        except ValueError:
+            args = ()
+        if len(args) == arity:
+            return build, args
+    raise ValueError(f"bad graph spec {spec!r}")
 
 
 def graph_from_spec(spec: str) -> InteractionGraph:
     """Inline constructors: 'K:5', 'Kb:2,3', 'L:4', 'C:6', 'Sigma', 'Omega'."""
-    s = spec.strip()
-    low = s.lower()
-    if low in _SHORTCUTS:
-        return _SHORTCUTS[low]()
-    if ":" in s:
-        head, _, tail = s.partition(":")
-        try:
-            args = [int(p) for p in tail.split(",")]
-        except ValueError:
-            raise ValueError(f"bad graph spec {spec!r}") from None
-        if head == "K" and len(args) == 1:
-            return complete_graph(args[0])
-        if head == "Kb" and len(args) == 2:
-            return complete_bipartite(*args)
-        if head == "L" and len(args) == 1:
-            return line_graph(args[0])
-        if head == "C" and len(args) == 1:
-            return cycle_graph(args[0])
-    raise ValueError(f"bad graph spec {spec!r}")
+    build, args = _parse_spec(spec)
+    return build(*args)
+
+
+def spec_vertex_count(spec: str) -> int:
+    """The vertex count an inline spec declares, read without building an edge.
+
+    >>> spec_vertex_count("Kb:2,3")
+    5
+    """
+    build, args = _parse_spec(spec)
+    return sum(args) if args else build().n
 
 
 # -------------------------------------------------- isomorphism enumeration

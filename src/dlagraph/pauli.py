@@ -38,8 +38,7 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one site, got n={self.n}")
-        if self.n > MAX_QUBITS:
-            raise ValueError(f"n={self.n} exceeds qubit cap {MAX_QUBITS}")
+        check_qubits(self.n)
         mask = (1 << self.n) - 1
         if not (0 <= self.x_bits <= mask and 0 <= self.z_bits <= mask):
             raise ValueError("x_bits/z_bits out of range for n sites")
@@ -83,6 +82,12 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({format_pauli(self)!r})"
+
+
+def check_qubits(n: int) -> None:
+    """Raise ValueError when n sites are wider than the packed key allows."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds qubit cap {MAX_QUBITS}")
 
 
 def pauli_from_sites(n: int, assignments) -> PauliString:

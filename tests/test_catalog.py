@@ -4,6 +4,7 @@ from dlagraph.catalog import (
     ALTERNATIVES,
     CATALOG,
     LABELS,
+    TemplateSet,
     generator_members,
     place_alternative,
     place_on_graph,
@@ -105,6 +106,31 @@ def test_catalog_is_frozen_surface():
     # K5 a22 placement: XX gives 1 string per edge, XY/YX and XZ/ZX 2 each
     gens = place_on_graph("a22", complete_graph(5))
     assert len(gens.members) == 10 * 5
+
+
+# a7 and a14 stamp most edge strings twice (XX from both orientations, XY
+# from one and YX from the other), and the first stamp fixes the order
+@pytest.mark.parametrize("label,graph,words", [
+    ("a7", sigma_graph(),
+     "XXIII YYIII ZZIII IXXII IYYII IZZII IXIIX IYIIY IZIIZ IIXXI IIYYI IIZZI"),
+    ("a7", complete_graph(4),
+     "XXII YYII ZZII XIXI YIYI ZIZI XIIX YIIY ZIIZ IXXI IYYI IZZI IXIX IYIY IZIZ IIXX IIYY IIZZ"),
+    ("a14", sigma_graph(),
+     "XXIII YYIII XYIII YXIII IXXII IYYII IXYII IYXII IXIIX IYIIY IXIIY IYIIX"
+     " IIXXI IIYYI IIXYI IIYXI"),
+    ("a14", complete_graph(4),
+     "XXII YYII XYII YXII XIXI YIYI XIYI YIXI XIIX YIIY XIIY YIIX IXXI IYYI IXYI IYXI"
+     " IXIX IYIY IXIY IYIX IIXX IIYY IIXY IIYX"),
+], ids=["a7-Sigma", "a7-K4", "a14-Sigma", "a14-K4"])
+def test_frozen_member_words(label, graph, words):
+    assert texts(place_on_graph(label, graph)) == words.split()
+
+
+def test_bad_template_letter_still_rejected():
+    # a string whose key is already admitted is not rebuilt, but a letter
+    # that has no key is always handed to pauli_from_sites
+    with pytest.raises(ValueError, match="unknown Pauli letter"):
+        place_templates(TemplateSet(("XI", "XQ")), EDGE)
 
 
 def paulis(*words):

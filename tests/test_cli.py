@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dlagraph import cli, suites
+from dlagraph import cli, graphs, suites
 from dlagraph.suites import CheckCase
 
 
@@ -406,6 +406,22 @@ def test_one_past_the_qubit_cap_exit_2(capsys, argv):
     assert "qubit cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("close", "--graph", "K:1500", "--algebra", "a2"),
+    ("frustration", "build", "--graph", "K:1500", "--algebra", "a2"),
+    ("frustration", "member", "--graph", "Kb:750,750", "--algebra", "a2", "--target", "XY"),
+], ids=["close", "frustration-build", "frustration-member"])
+def test_wide_spec_refused_before_its_edges(capsys, monkeypatch, argv):
+    # every named graph builds its edge list through build_graph
+    def no_build(n, edges):
+        raise AssertionError("edge list built past the qubit cap")
+
+    monkeypatch.setattr(graphs, "build_graph", no_build)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "qubit cap" in err
+
+
 def test_widest_strings_need_no_environment(capsys):
     code, out, _ = run_cli(capsys, "close", "--graph", "C:31", "--algebra", "a14", "--json")
     assert code == 0
@@ -420,6 +436,18 @@ def test_classify_builds_no_strings(capsys):
     code, out, _ = run_cli(capsys, "classify", "--graph", "K:99", "--algebra", "a2")
     assert code == 0
     assert "dim:" in out
+
+
+def test_many_components_classified(tmp_path, capsys):
+    # 19,999 components: each is found once, not by a rescan of the unseen vertices
+    path = tmp_path / "wide.txt"
+    path.write_text("n 20000\n0 1\n")
+    code, out, _ = run_cli(capsys, "classify", "--graph", str(path), "--algebra", "a2", "--json")
+    assert code == 3
+    assert json.loads(out) == {
+        "E": 1, "algebra": "a2", "bipartite": [19999, 1], "connected": False,
+        "dim": 0, "n": 20000, "scope": "OutOfScope", "summands": [],
+    }
 
 
 def test_json_byte_determinism():

@@ -273,6 +273,40 @@ def test_block_size_keeps_tie_break(monkeypatch, bytemap_max_keys):
             assert got.stats == want.stats
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 24, 31])
+def test_stable_order_is_stable_argsort(n):
+    # widths on both sides of every 16-bit digit boundary of a 2n-bit key
+    rng = np.random.default_rng(n)
+    distinct = rng.integers(0, 1 << (2 * n), size=40, dtype=np.int64)
+    for keys in (rng.choice(distinct, size=3000), rng.integers(0, 1 << (2 * n), 500)):
+        assert np.array_equal(
+            closure._stable_order(keys, n), np.argsort(keys, kind="stable")
+        )
+
+
+def closure_digest(r):
+    digest = hashlib.sha256(np.asarray(r.order, dtype=np.int64).tobytes())
+    digest.update(np.asarray(r.parents, dtype=np.int32).tobytes())
+    digest.update(repr((r.stats.pops, r.stats.pair_evaluations, r.stats.levels)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of (order, parents, stats) as the generator-major first-pair orbit
+# produced them; the 31-site line takes the widest keys, four 16-bit digits
+@pytest.mark.parametrize("gens,expected", [
+    (place_on_graph("a22", complete_graph(6)),
+     "8edb913ea2e6540426b21b009f7e71ddb6237489e1227d3bde9bf0adb9f931f9"),
+    (place_on_graph("a14", sigma_graph()),
+     "4040871a76a9a3bc92ffa738ce051fa329a6820884e36e018d4913c998530c6c"),
+    (place_alternative("a6", omega_graph()),
+     "d78373e5c21bc4df97ee89f1b7f46c86b30df995f31280b0a34883a33fea9831"),
+    (place_on_graph("a2", line_graph(31)),
+     "478f06b3ac11d2b870e6d2fcae685c49e98b7b32acaf4bc9ec17eed43c7ebd2b"),
+], ids=["K6-a22", "Sigma-a14", "Omega-a6-alt", "L31-a2"])
+def test_frozen_orbit_digests(gens, expected):
+    assert closure_digest(lie_closure(gens)) == expected
+
+
 def test_set_dedup_matches_bytemap(monkeypatch):
     gens = place_on_graph("a14", sigma_graph())
     ref = lie_closure(gens)

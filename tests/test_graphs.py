@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from dlagraph.graphs import (
@@ -47,6 +50,31 @@ def test_components_and_connectivity():
     assert connected_components(g) == [(0, 1), (2, 3, 4), (5,)]
     assert not is_connected(g)
     assert is_connected(sigma_graph())
+
+
+def components_by_union_find(g):
+    parent = list(range(g.n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for (u, v) in g.edges:
+        parent[max(root(u), root(v))] = min(root(u), root(v))
+    groups = {}
+    for v in range(g.n):
+        groups.setdefault(root(v), []).append(v)
+    return [tuple(groups[r]) for r in sorted(groups)]
+
+
+def test_components_match_union_find_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.random() * 0.4
+        g = build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert connected_components(g) == components_by_union_find(g)
 
 
 def test_subgraph_relabels():
