@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from dlagraph.graphs import InteractionGraph
-from dlagraph.pauli import _BITS_FOR_LETTER, PauliString, pauli_from_sites
+from dlagraph.pauli import _BITS_FOR_LETTER, PauliString, check_qubits, pauli_from_sites
 
 LABELS = ("a0", "a2", "a4", "a6", "a7", "a14", "a16", "a20", "a22", "b0", "b1", "b3")
 
@@ -97,6 +97,7 @@ def _site_key(letter: str, n: int) -> int:
 def place_templates(templates: TemplateSet, graph: InteractionGraph) -> tuple[PauliString, ...]:
     """Stamp a template set onto a graph; edge block first, then vertex block."""
     n = graph.n
+    check_qubits(n)  # before any key is built: a key has 2n bits
     members: list[PauliString] = []
     seen: set[int] = set()
 

@@ -1,10 +1,12 @@
 """Structure prediction: which direct sum of simple algebras a placement closes to.
 
-``classify`` takes every graph per component and merges the parts.  Each
-component reduces to its normal form (``normal_form``, the one reduction):
-K_n for a complete graph with n >= 3 and, under a7/a16/a20/a22, for every
-connected graph with n >= 3; K_n or K_{l,m} under a2/a4/a6/a14 once a vertex
-has degree > 2.  One table (``_TABLE``) is then read by normal form:
+``classify`` walks the graph once and merges its components' parts.  Each
+component reduces to its normal form (``normal_form``, the one reduction)
+from four numbers of the walk: vertex count n, edge count, top degree and
+colour-class sizes.  K_n for a complete graph (n(n-1)/2 edges) with n >= 3
+and, under a7/a16/a20/a22, for every connected graph with n >= 3; K_n (odd
+cycle) or K_{l,m} (two colour classes) under a2/a4/a6/a14 once a vertex has
+degree > 2.  One table (``_TABLE``) is then read by normal form:
 ``theorem_summands(label, nf)`` takes K_n's column from n and K_{l,m}'s from
 (l, m), and refuses a form with no column.  Lines and cycles are out of scope
 only for a2/a4/a6/a14: the classifier refuses to guess and the caller can fall
@@ -17,21 +19,14 @@ from dataclasses import dataclass
 
 from dlagraph.catalog import check_label, place_on_graph
 from dlagraph.closure import lie_closure
-from dlagraph.graphs import (
-    InteractionGraph,
-    bipartition,
-    connected_components,
-    is_complete,
-    is_connected,
-    max_degree,
-    subgraph,
-)
+from dlagraph.graphs import InteractionGraph, _walk, subgraph
 
 SCOPE_THEOREM = "Theorem1"
 SCOPE_COMPLETE = "AppendixB_complete"
 SCOPE_DIRECT_SUM = "DirectSum"
 SCOPE_ORACLE = "OracleFallback"
 SCOPE_OUT = "OutOfScope"
+_K1 = ((0,), 0, 0, (1, 0))  # the graphs._walk numbers of an edgeless vertex
 
 # Theorem 1's table.  Each entry is (family, n - log2 size, multiplicity) for
 # one normal-form shape: K_n with n odd, K_n with n even, then K_{l,m} with
@@ -102,27 +97,27 @@ class NormalForm:
 def normal_form(g: InteractionGraph, label: str) -> NormalForm:
     """Equivalence-class normal form of a connected graph for an a-type label.
 
-    This is the one reduction: ``classify`` calls it on each component.
-    Complete graphs come first: K_n with n >= 3 is its own normal form.
-    Labels a7/a16/a20/a22 reduce any connected graph with n >= 3 to K_n.
-    Labels a2/a4/a6/a14 need a vertex of degree > 2 and then reduce to K_n
-    (non-bipartite) or K_{l,m} (bipartite); their lines and cycles stay
-    ``line_or_cycle``.  A disconnected graph raises ValueError: it has no
-    single normal form.
+    The one reduction, applied by ``classify`` to each component; the module
+    docstring gives its rules.  Complete graphs come first; lines and cycles
+    stay ``line_or_cycle``.  A disconnected graph raises ValueError.
     """
-    if not is_connected(g):
+    parts, colors = _walk(g)
+    if len(parts) + g.n - len(colors) != 1:
         raise ValueError("normal_form needs a connected graph")
+    return _reduce(label, *(parts[0] if parts else _K1))
+
+
+def _reduce(label: str, vertices, e: int, top: int, sizes) -> NormalForm:
+    """``normal_form`` of one component from its ``_walk`` numbers."""
     row = _row(label)
-    if g.n < 3:
-        return NormalForm("too_small", (g.n,))
-    if is_complete(g) or len(row) == 2:
-        return NormalForm("complete", (g.n,))
-    if max_degree(g) <= 2:
-        return NormalForm("line_or_cycle", (g.n,))
-    bip = bipartition(g)
-    if bip is None:
-        return NormalForm("complete", (g.n,))
-    return NormalForm("complete_bipartite", bip.sizes)
+    n = len(vertices)
+    if n < 3:
+        return NormalForm("too_small", (n,))
+    if e == n * (n - 1) // 2 or len(row) == 2:
+        return NormalForm("complete", (n,))
+    if top <= 2:
+        return NormalForm("line_or_cycle", (n,))
+    return NormalForm("complete_bipartite", sizes) if sizes else NormalForm("complete", (n,))
 
 
 def _row(label: str) -> tuple:
@@ -156,19 +151,21 @@ def theorem_summands(label: str, nf: NormalForm) -> tuple[Summand, ...]:
     return (Summand(family, 1 << (n - drop), multiplicity),)
 
 
-def _merge(summands) -> tuple[Summand, ...]:
+def _merge(counted) -> tuple[Summand, ...]:
+    # (classification, count) pairs: equal summands add their multiplicities
     counts: dict[tuple[str, int], int] = {}
-    for s in summands:
-        counts[(s.family, s.size)] = counts.get((s.family, s.size), 0) + s.multiplicity
+    for c, k in counted:
+        for s in c.summands:
+            counts[(s.family, s.size)] = counts.get((s.family, s.size), 0) + k * s.multiplicity
     return tuple(
         Summand(fam, size, mult)
         for (fam, size), mult in sorted(counts.items())
     )
 
 
-def _classify_connected(g: InteractionGraph, label: str, oracle: bool) -> Classification:
-    # bipartite is left None here: classify fills it in for the whole graph
-    n, e = g.n, g.edge_count
+def _classify_connected(g: InteractionGraph, label: str, oracle: bool, part) -> Classification:
+    # one component of g, given by its _walk numbers; classify fills in bipartite
+    n, e = len(part[0]), part[1]
     scope = SCOPE_THEOREM
     if label == "a0":
         summands = (Summand("u1", 1, e),) if e else ()
@@ -182,37 +179,40 @@ def _classify_connected(g: InteractionGraph, label: str, oracle: bool) -> Classi
         # an isolated vertex carries no 2-local interaction at all
         summands = ()
     else:
-        nf = normal_form(g, label)
+        nf = _reduce(label, *part)
         if nf.kind not in ("complete", "complete_bipartite"):
             if oracle:
-                dim = lie_closure(place_on_graph(label, g)).dimension
+                dim = lie_closure(place_on_graph(label, subgraph(g, part[0]))).dimension
                 return Classification((), dim, SCOPE_ORACLE)
             return Classification((), 0, SCOPE_OUT)
         summands = theorem_summands(label, nf)
-        scope = SCOPE_COMPLETE if is_complete(g) else SCOPE_THEOREM
+        scope = SCOPE_COMPLETE if e == n * (n - 1) // 2 else SCOPE_THEOREM
     return Classification(summands, sum(s.dim for s in summands), scope)
 
 
 def classify(g: InteractionGraph, label: str, oracle: bool = False) -> Classification:
     """Predict the closure structure of the labeled placement on g.
 
-    Every graph is classified per component.  One component keeps its own
-    scope; several merge as OutOfScope if any part is, else OracleFallback
-    if any part is, else DirectSum.  A component whose normal form is
-    ``line_or_cycle`` or ``too_small`` is OutOfScope unless ``oracle`` is
-    set; then the closure engine supplies its dimension, family unidentified.
+    One graph walk gives each component's numbers; the edgeless vertices
+    are one K_1 part counted as often as they occur.  One component keeps
+    its own scope; several merge as OutOfScope if any part is, else
+    OracleFallback if any part is, else DirectSum.  A ``line_or_cycle`` or
+    ``too_small`` component is OutOfScope unless ``oracle`` is set; then
+    the closure engine supplies its dimension, family unidentified.
     """
     check_label(label)
-    parts = [_classify_connected(subgraph(g, comp), label, oracle)
-             for comp in connected_components(g)]
-    bip = bipartition(g)
-    sizes = bip.sizes if bip else None
-    scopes = [p.scope for p in parts]
+    parts, colors = _walk(g)
+    isolated = g.n - len(colors)
+    counted = [(_classify_connected(g, label, oracle, p), 1) for p in parts]
+    if isolated:
+        counted.append((_classify_connected(g, label, oracle, _K1), isolated))
+    ones = sum(colors.values())
+    sizes = None if any(p[3] is None for p in parts) else (g.n - ones, ones)
+    scopes = [c.scope for c, _ in counted]
     if SCOPE_OUT in scopes:
         return Classification((), 0, SCOPE_OUT, sizes)
-    if len(parts) == 1:
+    if len(parts) + isolated == 1:
         scope = scopes[0]
     else:
         scope = SCOPE_ORACLE if SCOPE_ORACLE in scopes else SCOPE_DIRECT_SUM
-    merged = _merge(s for p in parts for s in p.summands)
-    return Classification(merged, sum(p.total_dim for p in parts), scope, sizes)
+    return Classification(_merge(counted), sum(c.total_dim * k for c, k in counted), scope, sizes)

@@ -1,7 +1,9 @@
 """Undirected interaction graphs: construction, parsing, enumeration.
 
 Vertices are 0..n-1.  Edges are stored sorted as (u, v) with u < v so graph
-values hash and compare deterministically.
+values hash and compare deterministically.  One DFS, ``_walk``, gives the
+components, connectivity and 2-colouring, and per component the four numbers
+``classify`` reads: vertex count, edge count, top degree, colour classes.
 """
 
 from __future__ import annotations
@@ -56,45 +58,56 @@ def max_degree(g: InteractionGraph) -> int:
     return max(degrees(g))
 
 
-def _adjacency_sets(g: InteractionGraph):
-    adj = [[] for _ in range(g.n)]
+def _walk(g: InteractionGraph):
+    """One DFS over the vertices that carry an edge, in O(edges) at any n.
+
+    Returns ``(parts, colors)``.  ``parts`` has one ``(sorted vertices, edge
+    count, top degree, colour-class sizes)`` per component with an edge, in
+    least-vertex order; sizes put the least vertex's class 0 first and are
+    None on an odd cycle.  ``colors`` maps each vertex with an edge to its
+    class; each vertex it lacks is a K_1 component.
+    """
+    adj: dict[int, list[int]] = {}
     for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return [sorted(a) for a in adj]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    colors: dict[int, int] = {}
+    parts = []
+    # roots in vertex order: each uncoloured root is its component's least vertex
+    for root in sorted(adj):
+        if root in colors:
+            continue
+        colors[root] = 0
+        stack, comp, odd = [root], [root], False
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in colors:
+                    colors[w] = 1 - colors[v]
+                    comp.append(w)
+                    stack.append(w)
+                odd |= colors[w] == colors[v]
+        ones = sum(colors[v] for v in comp)
+        parts.append((tuple(sorted(comp)), sum(len(adj[v]) for v in comp) // 2,
+                      max(len(adj[v]) for v in comp), None if odd else (len(comp) - ones, ones)))
+    return parts, colors
 
 
 def connected_components(g: InteractionGraph) -> list[tuple[int, ...]]:
     """Components as sorted vertex tuples, ordered by smallest vertex."""
-    adj = _adjacency_sets(g)
-    seen = [False] * g.n
-    out = []
-    # roots in vertex order: each unseen root is its component's smallest vertex
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack, comp = [root], [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp)))
-    return out
+    parts, colors = _walk(g)
+    by_root = {p[0][0]: p[0] for p in parts}
+    return [by_root.get(v, (v,)) for v in range(g.n) if v in by_root or v not in colors]
 
 
 def is_connected(g: InteractionGraph) -> bool:
-    return len(connected_components(g)) == 1
+    parts, colors = _walk(g)
+    return len(parts) + g.n - len(colors) == 1
 
 
 def subgraph(g: InteractionGraph, vertices) -> InteractionGraph:
     """Induced subgraph with vertices relabeled 0..k-1 in sorted order."""
     verts = sorted(set(vertices))
-    if len(verts) == g.n and verts[0] == 0 and verts[-1] == g.n - 1:
-        return g  # the whole vertex set, already labeled 0..n-1
     index = {v: i for i, v in enumerate(verts)}
     edges = [
         (index[u], index[v])
@@ -129,26 +142,9 @@ class Bipartition:
 
 def bipartition(g: InteractionGraph):
     """The Bipartition, or None if some component has an odd cycle."""
-    adj = _adjacency_sets(g)
-    colors = [-1] * g.n
-    for root in range(g.n):
-        if colors[root] != -1:
-            continue
-        colors[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if colors[w] == -1:
-                    colors[w] = 1 - colors[v]
-                    stack.append(w)
-                elif colors[w] == colors[v]:
-                    return None
-    return Bipartition(tuple(colors))
-
-
-def is_complete(g: InteractionGraph) -> bool:
-    return g.edge_count == g.n * (g.n - 1) // 2
+    parts, colors = _walk(g)
+    odd = any(p[3] is None for p in parts)
+    return None if odd else Bipartition(tuple(colors.get(v, 0) for v in range(g.n)))
 
 
 # ------------------------------------------------------------- named graphs

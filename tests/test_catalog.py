@@ -1,5 +1,6 @@
 import pytest
 
+from dlagraph import catalog
 from dlagraph.catalog import (
     ALTERNATIVES,
     CATALOG,
@@ -163,3 +164,16 @@ def test_repeats_up_to_phase_merge_in_closure_only():
     assert lie_closure(paulis("XX", "-XX")).dimension == 1
     with pytest.raises(ValueError):
         build_frustration(paulis("XX", "-XX"))
+
+
+def test_placement_checks_the_cap_before_any_key(monkeypatch):
+    # a key has 2n bits, so a declared n past the cap must be refused first
+    def no_key(letter, n):
+        raise AssertionError("key built past the qubit cap")
+
+    monkeypatch.setattr(catalog, "_site_key", no_key)
+    for n in (32, 10**22):
+        with pytest.raises(ValueError, match="qubit cap"):
+            place_on_graph("a2", build_graph(n, [(0, 1)]))
+        with pytest.raises(ValueError, match="qubit cap"):
+            place_alternative("a14", build_graph(n, [(0, 1)]))

@@ -1,8 +1,11 @@
+import hashlib
+import importlib
 import itertools
 import random
 
 import pytest
 
+from dlagraph import graphs as graphs_module
 from dlagraph.catalog import LABELS, place_on_graph
 from dlagraph.classify import (
     Classification,
@@ -24,12 +27,18 @@ from dlagraph.graphs import (
     build_graph,
     complete_bipartite,
     complete_graph,
+    connected_components,
     cycle_graph,
+    enumerate_connected_graphs,
     is_connected,
     line_graph,
     omega_graph,
     sigma_graph,
+    subgraph,
 )
+
+# the package re-exports the function classify under the module's name
+classify_module = importlib.import_module("dlagraph.classify")
 
 
 def test_simple_dims():
@@ -300,3 +309,87 @@ def test_lines_and_cycles_reduce_to_complete_table(label):
             want = SCOPE_COMPLETE if g == complete_graph(3) else SCOPE_THEOREM
             assert c.scope == want, (label, g)
             assert c.total_dim == lie_closure(place_on_graph(label, g)).dimension, (label, g)
+
+
+def _walk_grid():
+    # every connected graph up to 6 vertices, then 400 seeded random graphs
+    # up to 9 vertices, many of them disconnected or with edgeless vertices
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(2409)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.3, 0.5))
+        graphs.append(build_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def _repr_or_error(f, *args, **kwargs):
+    try:
+        return repr(f(*args, **kwargs))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_one_walk_answers_as_the_per_question_walks_did():
+    # the digest was recorded when classify walked each graph once per question
+    # (components, connectivity, degrees, bipartition) and closed relabelled
+    # subgraphs; one walk must give the same reprs on the whole grid
+    lines = []
+    graphs = _walk_grid()
+    for g in graphs:
+        lines.append(f"{g.edges} {g.n} {connected_components(g)} {bipartition(g)} {is_connected(g)}")
+        for label in LABELS:
+            lines.append(_repr_or_error(classify, g, label))
+            lines.append(_repr_or_error(classify, g, label, oracle=True))
+            lines.append(_repr_or_error(normal_form, g, label))
+    assert len(graphs) == 543 and len(lines) == 20091
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ac0bf3c1c994f7d5404629072254e40641cff268c93fd111adcd24c02f30c548"
+
+
+def test_classify_walks_once_and_builds_no_subgraph(monkeypatch):
+    walks = []
+
+    def counted_walk(g):
+        walks.append(g)
+        return graphs_module._walk(g)
+
+    def no_subgraph(g, vertices):
+        raise AssertionError("subgraph built without --oracle")
+
+    monkeypatch.setattr(classify_module, "_walk", counted_walk)
+    monkeypatch.setattr(classify_module, "subgraph", no_subgraph)
+    two_parts = build_graph(9, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (4, 6)])
+    for g in (sigma_graph(), omega_graph(), line_graph(5), two_parts):
+        for label in LABELS:
+            walks.clear()
+            classify(g, label)
+            assert walks == [g], (label, g)
+
+
+def test_oracle_relabels_only_the_open_components(monkeypatch):
+    built = []
+    monkeypatch.setattr(classify_module, "subgraph",
+                        lambda g, vertices: built.append(vertices) or subgraph(g, vertices))
+    # a triangle (K_3, in the tables), a line 3-4-5 and an edge 6-7, plus vertex 8
+    g = build_graph(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (6, 7)])
+    c = classify(g, "a2", oracle=True)
+    assert built == [(3, 4, 5), (6, 7)]
+    assert c.scope == SCOPE_ORACLE
+    assert c.total_dim == lie_closure(place_on_graph("a2", g)).dimension
+
+
+def test_edgeless_vertices_count_as_one_scaled_part():
+    # one triangle and 99,997 edgeless vertices, each a K_1 component
+    # (test_cli runs 10^22 vertices in a memory-capped process)
+    n = 10**5
+    g = build_graph(n, [(0, 1), (1, 2), (0, 2)])
+    assert classify(g, "b3") == Classification((Summand("su", 2, n),), 3 * n, SCOPE_DIRECT_SUM, None)
+    assert classify(g, "b1").summands == (Summand("u1", 1, n + 3),)
+    assert classify(g, "a7") == Classification((Summand("su", 4),), 15, SCOPE_DIRECT_SUM, None)
+    assert classify(build_graph(n, [(5, 6)]), "a0").bipartite == (n - 1, 1)
+    assert classify(build_graph(1, []), "b0") == Classification(
+        (Summand("u1", 1, 1),), 1, SCOPE_THEOREM, (1, 0))
+    assert not is_connected(g)
+    with pytest.raises(ValueError, match="connected"):
+        normal_form(g, "a7")

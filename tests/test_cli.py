@@ -508,3 +508,40 @@ def test_one_parser_serves_a_session_like_fresh_processes(capsys):
             [sys.executable, "-m", "dlagraph.cli", *argv], capture_output=True, text=True
         )
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# runs cli.main in a child process capped at 1 GiB of address space, so an
+# input that allocates per vertex or per qubit fails this test, not the runner
+_CAPPED_MAIN = (
+    "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from dlagraph.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("n, argv, code, dim", [
+    (10**22, ("classify", "--algebra", "a2", "--json"), 3, 0),
+    (10**11, ("classify", "--algebra", "b3", "--json"), 0, 3 * 10**11),
+    (10**11, ("classify", "--algebra", "a2", "--oracle", "--json"), 0, 2),
+    (10**22, ("close", "--algebra", "a2"), 2, None),
+    (10**8, ("close", "--algebra", "a2"), 2, None),
+    (10**22, ("frustration", "build", "--algebra", "a2"), 2, None),
+    (10**8, ("frustration", "build", "--algebra", "a2"), 2, None),
+    (None, ("involution", "--l", "100000000000", "--m", "1", "--algebra", "a4"), 2, None),
+], ids=["classify-1e22", "classify-b3-1e11", "classify-oracle-1e11", "close-1e22", "close-1e8",
+        "frustration-build-1e22", "frustration-build-1e8", "involution-1e11"])
+def test_oversized_input_exits_with_a_documented_code(tmp_path, n, argv, code, dim):
+    if n is not None:
+        # one edge 0-1, every other vertex edgeless
+        path = tmp_path / "huge.txt"
+        path.write_text(f"n {n}\n0 1\n")
+        argv = (*argv, "--graph", str(path))
+    run = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, *argv],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert "Traceback" not in run.stderr
+    if dim is None:
+        assert "qubit cap" in run.stderr
+    else:
+        payload = json.loads(run.stdout)
+        assert (payload["n"], payload["E"], payload["connected"]) == (n, 1, False)
+        assert (payload["bipartite"], payload["dim"]) == ([n - 1, 1], dim)

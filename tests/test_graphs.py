@@ -16,7 +16,6 @@ from dlagraph.graphs import (
     degrees,
     enumerate_connected_graphs,
     graph_from_spec,
-    is_complete,
     is_connected,
     line_graph,
     max_degree,
@@ -104,7 +103,7 @@ def test_degrees():
 def test_named_graphs():
     assert omega_graph().edges == ((0, 1), (1, 2), (1, 3), (2, 3))
     assert complete_bipartite(2, 3).edge_count == 6
-    assert is_complete(complete_graph(4))
+    assert complete_graph(4).edge_count == 6
     # Sigma plus two edges is K_{2,3} on the same labeling
     k23 = add_edges(sigma_graph(), [(0, 3), (3, 4)])
     l, m = bipartition(k23).sizes

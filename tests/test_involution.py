@@ -2,6 +2,7 @@ from functools import reduce
 
 import pytest
 
+from dlagraph import involution
 from dlagraph.catalog import place_on_graph
 from dlagraph.closure import ClosureResult, ClosureStats, closure_equal, lie_closure
 from dlagraph.graphs import complete_bipartite, complete_graph
@@ -21,6 +22,19 @@ def test_make_theta_layout():
     assert make_theta(1, 3).q.letters() == "YXXX"
     with pytest.raises(ValueError):
         make_theta(0, 2)
+
+
+def test_make_theta_checks_the_cap_before_any_site(monkeypatch):
+    # the site list costs O(l), so a wide block is refused before it is built
+    # (test_cli runs l = 10^11 in a memory-capped process)
+    def no_sites(n, assignments):
+        raise AssertionError("per-site work past the qubit cap")
+
+    monkeypatch.setattr(involution, "pauli_from_sites", no_sites)
+    with pytest.raises(ValueError, match="qubit cap"):
+        make_theta(31, 1)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        make_theta(0, 10**11)
 
 
 def test_is_fixed_spot_cases():
