@@ -70,7 +70,6 @@ from dlagraph.pauli import (
     format_pauli,
     multiply,
     parse_pauli,
-    pauli_from_sites,
     quarter_congruence,
     quarter_conjugate,
     transpose_sign,
@@ -120,7 +119,6 @@ __all__ = [
     "omega_graph",
     "parse_graph",
     "parse_pauli",
-    "pauli_from_sites",
     "place_alternative",
     "place_on_graph",
     "product_of",

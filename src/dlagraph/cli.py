@@ -91,6 +91,14 @@ def _generators(args):
 def _cmd_classify(args) -> tuple[dict, list[str], int]:
     graph = _load_graph(args.graph)
     cls = classify(graph, args.algebra, oracle=args.oracle)
+    # str() refuses more digits than this (0: no limit; Pythons before 3.10.7 have
+    # none), and printing every digit would take time quadratic in their count
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = cls.total_dim.bit_length() * 30103 // 100000 + 1  # one or two over at most
+    while digits > 1 and cls.total_dim < 10 ** (digits - 1):
+        digits -= 1
+    if limit and digits > limit:
+        raise OverflowError(f"dim has {digits} decimal digits, more than the {limit} Python prints")
     connected = is_connected(graph)
     result = {
         "algebra": args.algebra,
@@ -332,7 +340,8 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         result, lines, code = args.func(args)
-    except (ClosureLimitError, SearchSpaceTooLarge) as exc:
+    # OverflowError: a number too long to print
+    except (ClosureLimitError, SearchSpaceTooLarge, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except ValueError as exc:

@@ -233,31 +233,38 @@ def parse_graph(text: str) -> InteractionGraph:
 
 
 _SHORTCUTS = {"sigma": sigma_graph, "omega": omega_graph}
-# inline spec heads: constructor and argument count; each declares sum(args) vertices
-_SPEC_FORMS = {"K": (complete_graph, 1), "Kb": (complete_bipartite, 2),
-               "L": (line_graph, 1), "C": (cycle_graph, 1)}
+# inline spec heads: constructor, argument count and edge count; each declares sum(args) vertices
+_SPEC_FORMS = {"K": (complete_graph, 1, lambda n: n * (n - 1) // 2),
+               "Kb": (complete_bipartite, 2, lambda l, m: l * m),
+               "L": (line_graph, 1, lambda n: n - 1), "C": (cycle_graph, 1, lambda n: n)}
+# most vertices plus edges an inline spec may declare: K:1413, Kb:999,999, L:500000 and
+# C:500000 each classify in under 4 s and 250 MB
+SPEC_MAX_SIZE = 10**6
 
 
 def _parse_spec(spec: str):
-    """(constructor, integer arguments) of an inline spec; ValueError on a bad one."""
+    """(constructor, integer arguments, edge count) of an inline spec; ValueError on a bad one."""
     s = spec.strip()
     if s.lower() in _SHORTCUTS:
-        return _SHORTCUTS[s.lower()], ()
+        return _SHORTCUTS[s.lower()], (), 0  # a named graph has a handful of edges
     head, colon, tail = s.partition(":")
     if colon and head in _SPEC_FORMS:
-        build, arity = _SPEC_FORMS[head]
+        build, arity, edges = _SPEC_FORMS[head]
         try:
             args = tuple(int(p) for p in tail.split(","))
         except ValueError:
             args = ()
         if len(args) == arity:
-            return build, args
+            return build, args, edges(*args)
     raise ValueError(f"bad graph spec {spec!r}")
 
 
 def graph_from_spec(spec: str) -> InteractionGraph:
     """Inline constructors: 'K:5', 'Kb:2,3', 'L:4', 'C:6', 'Sigma', 'Omega'."""
-    build, args = _parse_spec(spec)
+    build, args, edges = _parse_spec(spec)
+    # before any edge is built; a size below 1 is left to the constructor's own message
+    if min(args, default=1) > 0 and sum(args) + edges > SPEC_MAX_SIZE:
+        raise ValueError(f"graph spec {spec!r} has more than {SPEC_MAX_SIZE} vertices plus edges")
     return build(*args)
 
 
@@ -267,7 +274,7 @@ def spec_vertex_count(spec: str) -> int:
     >>> spec_vertex_count("Kb:2,3")
     5
     """
-    build, args = _parse_spec(spec)
+    build, args, _ = _parse_spec(spec)
     return sum(args) if args else build().n
 
 

@@ -19,7 +19,7 @@ from dlagraph.catalog import place_on_graph
 from dlagraph.classify import NormalForm, normal_form, theorem_summands
 from dlagraph.closure import ClosureResult, ClosureStats, anticommuting, closed_under, lie_closure
 from dlagraph.graphs import complete_bipartite
-from dlagraph.pauli import PauliString, check_qubits, commutes, pauli_from_sites, transpose_sign
+from dlagraph.pauli import PauliString, check_qubits, commutes, transpose_sign
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,8 @@ def make_theta(l: int, m: int) -> Involution:
     """
     if l < 1 or m < 1:
         raise ValueError("both blocks need at least one qubit")
-    check_qubits(l + m)  # before any per-site work
-    q = pauli_from_sites(l + m, [(i, "Y") for i in range(l)] + [(l + j, "X") for j in range(m)])
-    return Involution(l, m, q)
+    check_qubits(l + m)  # before Q's l + m bits: every x bit, and z bits on the Y block
+    return Involution(l, m, PauliString(l + m, (1 << (l + m)) - 1, (1 << l) - 1))
 
 
 def is_fixed(theta: Involution, p: PauliString) -> bool:

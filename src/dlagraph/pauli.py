@@ -90,29 +90,6 @@ def check_qubits(n: int) -> None:
         raise ValueError(f"n={n} exceeds qubit cap {MAX_QUBITS}")
 
 
-def pauli_from_sites(n: int, assignments) -> PauliString:
-    """Build a phase-free string from (site, letter) pairs; unlisted sites are I.
-
-    >>> pauli_from_sites(3, [(0, "X"), (2, "Y")]).letters()
-    'XIY'
-    """
-    x = z = 0
-    taken = 0
-    for site, letter in assignments:
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range for n={n}")
-        if taken & (1 << site):
-            raise ValueError(f"site {site} assigned twice")
-        taken |= 1 << site
-        try:
-            xb, zb = _BITS_FOR_LETTER[letter]
-        except KeyError:
-            raise ValueError(f"unknown Pauli letter {letter!r}") from None
-        x |= xb << site
-        z |= zb << site
-    return PauliString(n, x, z)
-
-
 def parse_pauli(text: str) -> PauliString:
     """Parse 'XIZ', '-YY', 'iXZ', '-iZZ' style text into a PauliString."""
     s = text.strip()

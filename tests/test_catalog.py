@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from dlagraph import catalog
@@ -12,9 +15,15 @@ from dlagraph.catalog import (
     place_templates,
     templates_for,
 )
-from dlagraph.closure import lie_closure
+from dlagraph.closure import closure_equal, lie_closure
 from dlagraph.frustration import build_frustration, member_via_frustration
-from dlagraph.graphs import build_graph, complete_bipartite, complete_graph, sigma_graph
+from dlagraph.graphs import (
+    build_graph,
+    complete_bipartite,
+    complete_graph,
+    enumerate_connected_graphs,
+    sigma_graph,
+)
 from dlagraph.pauli import parse_pauli
 
 EDGE = build_graph(2, [(0, 1)])
@@ -85,6 +94,27 @@ def test_a_type_needs_an_edge():
     with pytest.raises(ValueError):
         place_on_graph("a2", g)
     assert texts(place_on_graph("b3", g)) == ["XII", "YII", "IXI", "IYI", "IIX", "IIY"]
+    for label in ALTERNATIVES:
+        with pytest.raises(ValueError, match="needs at least one edge"):
+            place_alternative(label, g)
+
+
+def test_a_label_letters_only_on_vertices_with_an_edge():
+    # vertex 2 carries no edge, so a14's alternative leaves it bare, while
+    # b1 keeps its X there: an isolated vertex adds nothing to an a-label
+    g = build_graph(3, [(0, 1)])
+    assert texts(place_alternative("a14", g)) == ["XXI", "ZII", "IZI"]
+    assert texts(place_on_graph("b1", g)) == ["XXI", "XII", "IXI", "IIX"]
+
+
+def test_a14_alternative_has_the_primary_closure():
+    # every graph on at most 5 vertices with an edge, isolated vertices included
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            g = build_graph(n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+            primary = lie_closure(place_on_graph("a14", g))
+            assert closure_equal(primary, lie_closure(place_alternative("a14", g))), g
 
 
 def test_unknown_label_rejected():
@@ -128,8 +158,8 @@ def test_frozen_member_words(label, graph, words):
 
 
 def test_bad_template_letter_still_rejected():
-    # a string whose key is already admitted is not rebuilt, but a letter
-    # that has no key is always handed to pauli_from_sites
+    # placement works on packed keys only, so a letter with no key is refused
+    # when its key is built, whatever else the template set holds
     with pytest.raises(ValueError, match="unknown Pauli letter"):
         place_templates(TemplateSet(("XI", "XQ")), EDGE)
 
@@ -177,3 +207,24 @@ def test_placement_checks_the_cap_before_any_key(monkeypatch):
             place_on_graph("a2", build_graph(n, [(0, 1)]))
         with pytest.raises(ValueError, match="qubit cap"):
             place_alternative("a14", build_graph(n, [(0, 1)]))
+
+
+def test_placement_words_on_every_connected_graph():
+    # every label and both alternatives on the 143 connected graphs of 1-6
+    # vertices (alternatives on the 142 with an edge), pinned as one digest
+    lines = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for label in LABELS:
+                try:
+                    words = " ".join(texts(place_on_graph(label, g)))
+                except ValueError as exc:
+                    words = f"refused: {exc}"
+                lines.append(f"{label} {g.n} {g.edges} {words}")
+            if g.edge_count:
+                for label in ALTERNATIVES:
+                    words = " ".join(texts(place_alternative(label, g)))
+                    lines.append(f"alt {label} {g.n} {g.edges} {words}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        2000, "a7eb2569c660cca6a42830deeb7dd4051486a673d739025fc6bcef3d9b67f2d0")

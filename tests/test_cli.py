@@ -204,6 +204,16 @@ def test_frustration_build_alt(capsys):
     assert json.loads(out)["generators"] == ["XX", "ZI", "IZ"]
 
 
+def test_alt_on_an_edgeless_graph_exit_2(tmp_path, capsys):
+    path = tmp_path / "edgeless.txt"
+    path.write_text("n 3\n")
+    for alt in ((), ("--alt",)):
+        code, out, err = run_cli(
+            capsys, "close", "--graph", str(path), "--algebra", "a14", *alt, "--json"
+        )
+        assert (code, out) == (2, "") and "a14 needs at least one edge" in err
+
+
 def test_involution_text(capsys):
     code, out, _ = run_cli(
         capsys, "involution", "--l", "2", "--m", "2", "--algebra", "a14"
@@ -518,18 +528,22 @@ _CAPPED_MAIN = (
 )
 
 
-@pytest.mark.parametrize("n, argv, code, dim", [
+@pytest.mark.parametrize("n, argv, code, expect", [
     (10**22, ("classify", "--algebra", "a2", "--json"), 3, 0),
     (10**11, ("classify", "--algebra", "b3", "--json"), 0, 3 * 10**11),
     (10**11, ("classify", "--algebra", "a2", "--oracle", "--json"), 0, 2),
-    (10**22, ("close", "--algebra", "a2"), 2, None),
-    (10**8, ("close", "--algebra", "a2"), 2, None),
-    (10**22, ("frustration", "build", "--algebra", "a2"), 2, None),
-    (10**8, ("frustration", "build", "--algebra", "a2"), 2, None),
-    (None, ("involution", "--l", "100000000000", "--m", "1", "--algebra", "a4"), 2, None),
+    (10**22, ("close", "--algebra", "a2"), 2, "qubit cap"),
+    (10**8, ("close", "--algebra", "a2"), 2, "qubit cap"),
+    (10**22, ("frustration", "build", "--algebra", "a2"), 2, "qubit cap"),
+    (10**8, ("frustration", "build", "--algebra", "a2"), 2, "qubit cap"),
+    (None, ("involution", "--l", "100000000000", "--m", "1", "--algebra", "a4"), 2, "qubit cap"),
+    (None, ("classify", "--graph", "K:99999999999", "--algebra", "a2"), 2, "vertices plus edges"),
+    (None, ("classify", "--graph", "Kb:2,99999999", "--algebra", "a2"), 2, "vertices plus edges"),
+    (None, ("classify", "--graph", "L:100000000", "--algebra", "a2"), 2, "vertices plus edges"),
 ], ids=["classify-1e22", "classify-b3-1e11", "classify-oracle-1e11", "close-1e22", "close-1e8",
-        "frustration-build-1e22", "frustration-build-1e8", "involution-1e11"])
-def test_oversized_input_exits_with_a_documented_code(tmp_path, n, argv, code, dim):
+        "frustration-build-1e22", "frustration-build-1e8", "involution-1e11",
+        "classify-K-1e11", "classify-Kb-2-1e8", "classify-L-1e8"])
+def test_oversized_input_exits_with_a_documented_code(tmp_path, n, argv, code, expect):
     if n is not None:
         # one edge 0-1, every other vertex edgeless
         path = tmp_path / "huge.txt"
@@ -539,9 +553,23 @@ def test_oversized_input_exits_with_a_documented_code(tmp_path, n, argv, code, d
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == code, run.stderr
     assert "Traceback" not in run.stderr
-    if dim is None:
-        assert "qubit cap" in run.stderr
+    if isinstance(expect, str):
+        assert expect in run.stderr
     else:
         payload = json.loads(run.stdout)
         assert (payload["n"], payload["E"], payload["connected"]) == (n, 1, False)
-        assert (payload["bipartite"], payload["dim"]) == ([n - 1, 1], dim)
+        assert (payload["bipartite"], payload["dim"]) == ([n - 1, 1], expect)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--graph", "Kb:1,8000", "--algebra", "a2"),
+    ("--graph", "Kb:1,8000", "--algebra", "a2", "--json"),
+    ("--graph", "STAR", "--algebra", "a22"),
+], ids=["Kb-1-8000", "Kb-1-8000-json", "star-8001"])
+def test_dimension_past_the_digit_limit_is_a_resource_cap(tmp_path, capsys, argv):
+    star = tmp_path / "star.txt"
+    star.write_text("n 8001\n" + "".join(f"0 {v}\n" for v in range(1, 8001)))
+    argv = [str(star) if a == "STAR" else a for a in argv]
+    code, out, err = run_cli(capsys, "classify", *argv)
+    assert (code, out) == (cli.EXIT_RESOURCE_CAP, "")
+    assert "decimal digits" in err and "set_int_max_str_digits" not in err

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dlagraph import graphs
 from dlagraph.graphs import (
     ENUMERATE_MAX_N,
     Bipartition,
@@ -150,6 +151,25 @@ def test_graph_from_spec():
     for bad in ["K:", "Q:3", "Kb:2", "", "K:x"]:
         with pytest.raises(ValueError):
             graph_from_spec(bad)
+
+
+def test_spec_bound_counts_vertices_plus_edges(monkeypatch):
+    # a size below 1 keeps its constructor's message
+    with pytest.raises(ValueError, match="at least one vertex"):
+        graph_from_spec("Kb:-99999,-99999")
+    # each spec at the bound reaches its constructor; one past it is refused
+    # before any edge is built
+    built = []
+    for head, (_, arity, edges) in list(graphs._SPEC_FORMS.items()):
+        monkeypatch.setitem(graphs._SPEC_FORMS, head, (lambda *a: built.append(a), arity, edges))
+    assert graphs.SPEC_MAX_SIZE == 10**6
+    for spec in ("K:1413", "Kb:999,999", "L:500000", "C:500000"):
+        graph_from_spec(spec)
+    assert built == [(1413,), (999, 999), (500000,), (500000,)]
+    for spec in ("K:1414", "Kb:999,1000", "L:500001", "C:500001", "K:" + "9" * 3000):
+        with pytest.raises(ValueError, match="more than 1000000 vertices plus edges"):
+            graph_from_spec(spec)
+    assert built == [(1413,), (999, 999), (500000,), (500000,)]
 
 
 def test_enumerate_connected_graph_counts():

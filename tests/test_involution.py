@@ -24,13 +24,19 @@ def test_make_theta_layout():
         make_theta(0, 2)
 
 
-def test_make_theta_checks_the_cap_before_any_site(monkeypatch):
-    # the site list costs O(l), so a wide block is refused before it is built
-    # (test_cli runs l = 10^11 in a memory-capped process)
-    def no_sites(n, assignments):
-        raise AssertionError("per-site work past the qubit cap")
+def test_make_theta_q_from_its_bits():
+    for n in range(2, 32):
+        for l in range(1, n):
+            assert make_theta(l, n - l).q == parse_pauli("Y" * l + "X" * (n - l))
 
-    monkeypatch.setattr(involution, "pauli_from_sites", no_sites)
+
+def test_make_theta_checks_the_cap_before_any_site(monkeypatch):
+    # Q's bits are l + m wide, so a wide block is refused before they are
+    # built (test_cli runs l = 10^11 in a memory-capped process)
+    def no_q(n, x_bits, z_bits):
+        raise AssertionError("Q built past the qubit cap")
+
+    monkeypatch.setattr(involution, "PauliString", no_q)
     with pytest.raises(ValueError, match="qubit cap"):
         make_theta(31, 1)
     with pytest.raises(ValueError, match="at least one qubit"):

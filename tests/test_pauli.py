@@ -12,7 +12,6 @@ from dlagraph.pauli import (
     format_pauli,
     multiply,
     parse_pauli,
-    pauli_from_sites,
     quarter_congruence,
     quarter_conjugate,
     transpose_sign,
@@ -67,15 +66,6 @@ def test_qubit_cap_default():
     assert p.n == 31 and p.key == 1 << 61
     with pytest.raises(ValueError, match="qubit cap 31"):
         parse_pauli("I" * 31 + "X")
-
-
-def test_pauli_from_sites():
-    assert pauli_from_sites(3, [(0, "X"), (2, "Y")]).letters() == "XIY"
-    assert pauli_from_sites(2, [(1, "Z")]).letters() == "IZ"
-    with pytest.raises(ValueError):
-        pauli_from_sites(2, [(0, "X"), (0, "Y")])
-    with pytest.raises(ValueError):
-        pauli_from_sites(2, [(5, "X")])
 
 
 def test_exact_vs_canonical_equality():
